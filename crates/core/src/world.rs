@@ -287,6 +287,10 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     tcp_out_pool: BufPool<TcpOutput>,
     /// Recycled scatter buffers for [`Medium::transmit_into`]; each lives
     /// inside an [`InFlight`] entry while its transmission is on the air.
+    /// Grown on demand: the pool holds as many buffers as transmissions
+    /// ever overlapped, each as large as the widest slice it carried — a
+    /// 4096-station field where 64 stations transmit never pays for the
+    /// other 4032.
     delivery_pool: BufPool<(NodeId, TxSignal)>,
     /// Reused output buffer for saturated-source refills.
     packet_scratch: Vec<Packet>,
@@ -404,18 +408,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             sim.schedule_in_trailing(m.epoch, Event::TopologyUpdate);
             (engine, m.epoch, m.rebuild_epochs)
         });
-        // Pre-warm the delivery pool: at most one in-flight transmission
-        // per station (a keyed-up radio cannot start another), each
-        // scattering to at most max_audible_count() receivers — the
-        // audible sets shrink the pooled buffers along with the fan-out.
-        // Sizing it up front keeps the steady state allocation-free even
-        // when the first deep overlap happens late in a run.
-        let mut delivery_pool = BufPool::new();
         let n_stations = nodes.len();
-        let delivery_capacity = medium.max_audible_count();
-        for _ in 0..n_stations {
-            delivery_pool.put(Vec::with_capacity(delivery_capacity));
-        }
         let mut world = World {
             sim,
             medium,
@@ -435,7 +428,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             warmup,
             mac_action_pool: BufPool::new(),
             tcp_out_pool: BufPool::new(),
-            delivery_pool,
+            delivery_pool: BufPool::new(),
             packet_scratch: Vec::new(),
             kind_counts: EventKindCounts::default(),
             mobility,

@@ -427,13 +427,7 @@ fn keep_radius(keep: impl Fn(Meters) -> bool) -> f64 {
 /// than span/√N (so the grid itself stays O(N) cells even when the keep
 /// radius is far below the station spacing).
 struct CellGrid {
-    cell: f64,
-    min_x: f64,
-    min_y: f64,
-    nx: usize,
-    ny: usize,
-    /// Cells-per-axis a pair within the keep radius can straddle.
-    reach: usize,
+    geo: GridGeometry,
     /// CSR station ids per cell, ascending within each cell.
     starts: Vec<u32>,
     ids: Vec<u32>,
@@ -450,7 +444,13 @@ struct GridGeometry {
     min_y: f64,
     nx: usize,
     ny: usize,
+    /// Cells-per-axis a pair within the keep radius can straddle.
     reach: usize,
+    /// A neighbourhood cell whose squared gap to the query position
+    /// exceeds this holds no station within the keep radius: the radius
+    /// plus a slack for the rounding in [`GridGeometry::cell_of`]'s
+    /// division and the cell-edge arithmetic, squared.
+    skip_gap_sq: f64,
 }
 
 fn grid_geometry(positions: &[Position], radius: f64) -> GridGeometry {
@@ -472,6 +472,11 @@ fn grid_geometry(positions: &[Position], radius: f64) -> GridGeometry {
     // absorbs any rounding in the division for free (the extra cells
     // are empty or re-checked by the exact distance compare anyway).
     let reach = ((radius / cell).ceil() as usize).saturating_add(1);
+    // Rounding in `cell_of` and in the edge coordinates is a few ulps of
+    // the field's coordinate magnitudes; 1e-9 of them is ample and still
+    // far below a metre on any real field.
+    let magnitude = radius + cell * (nx + ny + 2) as f64 + min_x.abs() + min_y.abs();
+    let slack = 1e-9 * magnitude;
     GridGeometry {
         cell,
         min_x,
@@ -479,6 +484,7 @@ fn grid_geometry(positions: &[Position], radius: f64) -> GridGeometry {
         nx,
         ny,
         reach,
+        skip_gap_sq: (radius + slack).powi(2),
     }
 }
 
@@ -497,39 +503,67 @@ impl GridGeometry {
         iy * self.nx + ix
     }
 
-    /// The cell rectangle guaranteed to contain every station within the
-    /// keep radius of `of`, as `(x0, x1, y0, y1)` inclusive bounds.
-    fn neighbourhood(&self, of: &Position) -> (usize, usize, usize, usize) {
+    /// Visits every cell that can hold a station within the keep radius
+    /// of `of`: the `reach`-ring neighbourhood of `of`'s cell, minus the
+    /// cells whose rectangle lies wholly beyond the radius (plus slack).
+    /// Edge cells extend to infinity on their outer sides, because
+    /// `cell_of` clamps every outlying position into them — so a frozen
+    /// grid stays a sound candidate generator under drift.
+    fn for_each_cell_near(&self, of: &Position, mut visit: impl FnMut(usize)) {
         let ix = (((of.x - self.min_x) / self.cell) as usize).min(self.nx - 1);
         let iy = (((of.y - self.min_y) / self.cell) as usize).min(self.ny - 1);
-        (
+        let (x0, x1) = (
             ix.saturating_sub(self.reach),
             (ix + self.reach).min(self.nx - 1),
+        );
+        let (y0, y1) = (
             iy.saturating_sub(self.reach),
             (iy + self.reach).min(self.ny - 1),
-        )
+        );
+        for cy in y0..=y1 {
+            let gy_sq = self.axis_gap(of.y, self.min_y, cy, self.ny).powi(2);
+            if gy_sq > self.skip_gap_sq {
+                continue;
+            }
+            for cx in x0..=x1 {
+                let gx = self.axis_gap(of.x, self.min_x, cx, self.nx);
+                if gx * gx + gy_sq <= self.skip_gap_sq {
+                    visit(cy * self.nx + cx);
+                }
+            }
+        }
+    }
+
+    /// Distance along one axis from coordinate `v` to the extent of cell
+    /// `c` (of `count` along that axis, starting at `origin`); zero inside.
+    fn axis_gap(&self, v: f64, origin: f64, c: usize, count: usize) -> f64 {
+        let lo = if c == 0 {
+            f64::NEG_INFINITY
+        } else {
+            origin + c as f64 * self.cell
+        };
+        let hi = if c + 1 == count {
+            f64::INFINITY
+        } else {
+            origin + (c + 1) as f64 * self.cell
+        };
+        if v < lo {
+            lo - v
+        } else if v > hi {
+            v - hi
+        } else {
+            0.0
+        }
     }
 }
 
 impl CellGrid {
     fn new(positions: &[Position], radius: f64) -> CellGrid {
         let n = positions.len();
-        let GridGeometry {
-            cell,
-            min_x,
-            min_y,
-            nx,
-            ny,
-            reach,
-        } = grid_geometry(positions, radius);
-        let mut counts = vec![0u32; nx * ny + 1];
-        let idx = |p: &Position| {
-            let ix = (((p.x - min_x) / cell) as usize).min(nx - 1);
-            let iy = (((p.y - min_y) / cell) as usize).min(ny - 1);
-            iy * nx + ix
-        };
+        let geo = grid_geometry(positions, radius);
+        let mut counts = vec![0u32; geo.nx * geo.ny + 1];
         for p in positions {
-            counts[idx(p) + 1] += 1;
+            counts[geo.cell_of(p) + 1] += 1;
         }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
@@ -539,42 +573,11 @@ impl CellGrid {
         let mut ids = vec![0u32; n];
         // Ascending station order keeps each cell's id list sorted.
         for (i, p) in positions.iter().enumerate() {
-            let c = idx(p);
+            let c = geo.cell_of(p);
             ids[cursor[c] as usize] = i as u32;
             cursor[c] += 1;
         }
-        CellGrid {
-            cell,
-            min_x,
-            min_y,
-            nx,
-            ny,
-            reach,
-            starts,
-            ids,
-        }
-    }
-
-    /// Visits every station id (including `of` itself) in the
-    /// neighbourhood of cells guaranteed to contain all stations within
-    /// the keep radius of `of`.
-    fn for_each_neighbour(&self, of: &Position, mut visit: impl FnMut(u32)) {
-        let ix = (((of.x - self.min_x) / self.cell) as usize).min(self.nx - 1);
-        let iy = (((of.y - self.min_y) / self.cell) as usize).min(self.ny - 1);
-        let x0 = ix.saturating_sub(self.reach);
-        let x1 = (ix + self.reach).min(self.nx - 1);
-        let y0 = iy.saturating_sub(self.reach);
-        let y1 = (iy + self.reach).min(self.ny - 1);
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                let c = cy * self.nx + cx;
-                let lo = self.starts[c] as usize;
-                let hi = self.starts[c + 1] as usize;
-                for &id in &self.ids[lo..hi] {
-                    visit(id);
-                }
-            }
-        }
+        CellGrid { geo, starts, ids }
     }
 }
 
@@ -587,8 +590,15 @@ trait NeighbourSource {
 }
 
 impl NeighbourSource for CellGrid {
-    fn for_each_neighbour(&self, of: &Position, visit: impl FnMut(u32)) {
-        CellGrid::for_each_neighbour(self, of, visit)
+    /// Visits every station id (including `of` itself) in the cells
+    /// [`GridGeometry::for_each_cell_near`] keeps.
+    fn for_each_neighbour(&self, of: &Position, mut visit: impl FnMut(u32)) {
+        self.geo.for_each_cell_near(of, |c| {
+            let (lo, hi) = (self.starts[c] as usize, self.starts[c + 1] as usize);
+            for &id in &self.ids[lo..hi] {
+                visit(id);
+            }
+        });
     }
 }
 
@@ -637,14 +647,11 @@ impl EpochGrid {
 
 impl NeighbourSource for EpochGrid {
     fn for_each_neighbour(&self, of: &Position, mut visit: impl FnMut(u32)) {
-        let (x0, x1, y0, y1) = self.geo.neighbourhood(of);
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                for &id in &self.buckets[cy * self.geo.nx + cx] {
-                    visit(id);
-                }
+        self.geo.for_each_cell_near(of, |c| {
+            for &id in &self.buckets[c] {
+                visit(id);
             }
-        }
+        });
     }
 }
 
@@ -665,11 +672,17 @@ fn compute_audible_slice(
     scratch: &mut Vec<(u32, f64)>,
 ) {
     scratch.clear();
-    grid.for_each_neighbour(&positions[tx], |rx| {
+    // A candidate whose squared distance clears this bound is beyond the
+    // radius for certain (the 1e-9 relative slack dwarfs the rounding of
+    // the square and of the root), so it is rejected before the root;
+    // every other candidate gets the exact `d ≤ radius` compare.
+    let reject_sq = radius * radius * (1.0 + 1e-9);
+    let at = positions[tx];
+    grid.for_each_neighbour(&at, |rx| {
         if rx as usize == tx {
             return;
         }
-        let d = positions[tx].distance_to(positions[rx as usize]);
+        let d_sq = at.distance_sq_to(positions[rx as usize]);
         #[cfg(debug_assertions)]
         if let CullPolicy::Audible {
             tx_power,
@@ -677,15 +690,24 @@ fn compute_audible_slice(
             margin,
         } = config.cull
         {
+            let d = Meters(d_sq.sqrt());
             let best_case = tx_power - config.path_loss.path_loss(d) - config.day.min_excess();
             debug_assert_eq!(
                 d.0 <= radius,
                 best_case.0 >= noise_floor.0 - margin.0,
                 "keep-radius compare diverged from the exact predicate at {d:?}"
             );
+            debug_assert!(
+                d_sq <= reject_sq || d.0 > radius,
+                "prefilter rejected a kept pair"
+            );
         }
-        if d.0 <= radius {
-            scratch.push((rx, d.0));
+        if d_sq > reject_sq {
+            return;
+        }
+        let d = d_sq.sqrt();
+        if d <= radius {
+            scratch.push((rx, d));
         }
     });
     // Neighbour cells are visited in grid order; the audible slice must
@@ -709,7 +731,10 @@ impl Medium {
     /// distance and path loss is monotone in distance, so the exact keep
     /// horizon is recovered once by `keep_radius` bisection and each
     /// station only examines the neighbours a `CellGrid` proves could
-    /// be inside it. Path losses themselves are deferred to first touch.
+    /// be inside it. Construction writes only membership and distances:
+    /// path losses and shadowing state wait for a link's first sample, so
+    /// a large field whose stations mostly never transmit pays for the
+    /// few slices that do.
     pub fn new(positions: Vec<Position>, mut shadowing: Shadowing, config: MediumConfig) -> Medium {
         let n = positions.len();
         let mut audible = Vec::new();
@@ -869,8 +894,8 @@ impl Medium {
         self.audible_set(tx).len()
     }
 
-    /// The largest audible set over all transmitters — the capacity a
-    /// delivery buffer needs so the steady-state path never reallocates.
+    /// The largest audible set over all transmitters — the most
+    /// deliveries any one frame can produce.
     pub fn max_audible_count(&self) -> usize {
         (0..self.positions.len())
             .map(|t| self.audible_count(NodeId(t as u32)))
@@ -917,11 +942,10 @@ impl Medium {
     /// set (in station order) to `deliveries`, powers sampled at launch
     /// (block-fading per frame).
     ///
-    /// `deliveries` must arrive **empty** (debug-asserted): the old
-    /// per-frame `clear()`/`reserve()` is hoisted to the caller, which
-    /// sizes its pooled buffers once at construction via
-    /// [`Medium::max_audible_count`], so the steady-state path neither
-    /// clears nor allocates here.
+    /// `deliveries` must arrive **empty** (debug-asserted): clearing is
+    /// hoisted to the caller, which recycles its buffers — a recycled
+    /// buffer keeps the capacity its widest slice grew it to, so the
+    /// steady-state path neither clears nor allocates here.
     #[allow(clippy::too_many_arguments)] // the per-frame signature is flat on purpose
     pub fn transmit_into(
         &mut self,
@@ -1803,11 +1827,29 @@ mod tests {
         }
     }
 
+    /// A deterministic irregular disk: golden-angle spiral.
+    fn spiral(n: usize, radius: f64) -> Vec<Position> {
+        (0..n)
+            .map(|k| {
+                let r = radius * ((k as f64 + 0.5) / n as f64).sqrt();
+                let th = k as f64 * 2.399_963_229_728_653;
+                Position {
+                    x: r * th.cos(),
+                    y: r * th.sin(),
+                }
+            })
+            .collect()
+    }
+
     /// The grid-accelerated construction is an optimization, not a
     /// policy change: for any topology it must keep exactly the pairs the
     /// exhaustive n·(n−1) predicate scan keeps — same audible sets in the
     /// same order, same culled count, and bit-identical (distance, loss)
-    /// per kept link.
+    /// per kept link. The topologies include stations exactly on cell
+    /// edges and pairs exactly at (and one ulp either side of) the keep
+    /// radius, where the cell-skipping scan's slack must not cut a kept
+    /// pair; the epochs then drive stations outside the frozen epoch
+    /// grid's bounding box, into its clamped border cells.
     #[test]
     fn grid_cull_matches_exhaustive_scan_bitwise() {
         use crate::pathloss::DualSlope;
@@ -1849,27 +1891,77 @@ mod tests {
             (sets, links)
         }
 
-        // A deterministic irregular disk: golden-angle spiral.
-        fn spiral(n: usize, radius: f64) -> Vec<Position> {
-            (0..n)
-                .map(|k| {
-                    let r = radius * ((k as f64 + 0.5) / n as f64).sqrt();
-                    let th = k as f64 * 2.399_963_229_728_653;
-                    Position {
-                        x: r * th.cos(),
-                        y: r * th.sin(),
-                    }
-                })
-                .collect()
-        }
-
         let far_model: PathLossModel = DualSlope {
             near: LogDistance::anchored_at_free_space_1m(2.42),
             breakpoint: Meters(500.0),
             far_exponent: 4.0,
         }
         .into();
+        let culls = [
+            CullPolicy::Audible {
+                tx_power: Dbm(15.0),
+                noise_floor: Dbm(-96.6),
+                margin: Db(CULL_MARGIN_DB),
+            },
+            // A margin so hostile nothing survives even at 0 m.
+            CullPolicy::Audible {
+                tx_power: Dbm(-400.0),
+                noise_floor: Dbm(-96.6),
+                margin: Db(0.0),
+            },
+            CullPolicy::Full,
+        ];
+        // The keep radius of the first policy: the lattice below puts
+        // stations on its cell edges (the grid's cell side is exactly the
+        // radius there, with the origin at 0) and pairs at its boundary.
+        let r = Medium::new(
+            Vec::new(),
+            Shadowing::new(DayProfile::clear(), SimRng::from_seed(9)),
+            MediumConfig {
+                path_loss: far_model,
+                day: DayProfile::clear(),
+                propagation_delay: SimDuration::from_micros(1),
+                cull: culls[0],
+            },
+        )
+        .cull_radius;
+        assert!(r.is_finite() && r > 0.0);
+        let up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let down = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut edge_lattice: Vec<Position> = (0..36)
+            .map(|k| Position {
+                x: (k % 6) as f64 * r,
+                y: (k / 6) as f64 * r,
+            })
+            .collect();
+        // Pairs at exactly r (sqrt(r²) == r), one ulp beyond, one ulp
+        // inside, along both axes from a lattice point.
+        let base = Position { x: r, y: r };
+        edge_lattice.extend([
+            Position {
+                x: base.x + r,
+                y: base.y + 0.5 * r,
+            },
+            Position {
+                x: base.x + 0.5 * r,
+                y: base.y + up(r),
+            },
+            Position {
+                x: base.x - down(r),
+                y: base.y - 0.5 * r,
+            },
+            Position {
+                x: 0.5 * r,
+                y: 0.5 * r + r,
+            },
+            Position {
+                x: 0.5 * r,
+                y: 0.5 * r - up(r),
+            },
+        ]);
         let topologies: Vec<Vec<Position>> = vec![
+            // Stations on cell edges, pairs at the keep radius.
+            edge_lattice,
             // A long chain with a finite horizon partway down it.
             (0..120)
                 .map(|i| Position::on_line(i as f64 * 140.0))
@@ -1885,20 +1977,6 @@ mod tests {
                 .collect(),
             // Degenerate: everyone in (nearly) one spot.
             (0..8).map(|i| Position::on_line(i as f64 * 0.25)).collect(),
-        ];
-        let culls = [
-            CullPolicy::Audible {
-                tx_power: Dbm(15.0),
-                noise_floor: Dbm(-96.6),
-                margin: Db(CULL_MARGIN_DB),
-            },
-            // A margin so hostile nothing survives even at 0 m.
-            CullPolicy::Audible {
-                tx_power: Dbm(-400.0),
-                noise_floor: Dbm(-96.6),
-                margin: Db(0.0),
-            },
-            CullPolicy::Full,
         ];
         // Checks one medium against the exhaustive reference at its
         // *current* positions: sets, per-link bits, culled count.
@@ -1967,8 +2045,167 @@ mod tests {
                     m.commit_epoch(&moves);
                     assert_matches_exhaustive(&m, &config, &format!("{cull:?} epoch {epoch}"));
                 }
+                // Exile every fourth station far outside the (now frozen)
+                // epoch grid's bounding box — past each side and corner —
+                // in pairs half a keep radius apart, so the clamped border
+                // cells must still pair them up and the interior cells
+                // must still see the stations left behind.
+                let (lo_x, hi_x, lo_y, hi_y) = m.positions().iter().fold(
+                    (
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                    ),
+                    |(a, b, c, d), p| (a.min(p.x), b.max(p.x), c.min(p.y), d.max(p.y)),
+                );
+                let span = (hi_x - lo_x).max(hi_y - lo_y).max(r);
+                let exiles: Vec<(NodeId, Position)> = (0..n)
+                    .step_by(4)
+                    .enumerate()
+                    .map(|(k, i)| {
+                        let far = 2.0 * span + (k / 8) as f64 * 3.0 * r;
+                        let mut at = match (k / 2) % 4 {
+                            0 => Position {
+                                x: hi_x + far,
+                                y: lo_y,
+                            },
+                            1 => Position {
+                                x: lo_x - far,
+                                y: hi_y,
+                            },
+                            2 => Position {
+                                x: hi_x + far,
+                                y: hi_y + far,
+                            },
+                            _ => Position {
+                                x: lo_x,
+                                y: lo_y - far,
+                            },
+                        };
+                        if k % 2 == 1 {
+                            at.x += 0.3 * r;
+                            at.y += 0.4 * r;
+                        }
+                        (NodeId(i as u32), at)
+                    })
+                    .collect();
+                m.commit_epoch(&exiles);
+                assert_matches_exhaustive(&m, &config, &format!("{cull:?} exiled"));
             }
         }
+    }
+
+    /// The cell-skipping scan's efficiency on the large-field shape: a
+    /// uniform 4096-station disk of radius 12 km under the calibrated
+    /// dual-slope model (exponent 2.42 from 62.6 dB at 1 m, 40 dB/decade
+    /// past 500 m). Each station examines only the cells its keep circle
+    /// reaches, so candidates stay within 3× the kept links — a plain
+    /// 5×5-cell neighbourhood examines ~8.7×.
+    #[test]
+    fn cell_skipping_scan_examines_under_three_candidates_per_kept_link() {
+        use crate::pathloss::DualSlope;
+
+        let mut rng = SimRng::from_seed(4096);
+        let positions: Vec<Position> = (0..4096)
+            .map(|_| {
+                let r = 12_000.0 * rng.gen_f64().sqrt();
+                let th = std::f64::consts::TAU * rng.gen_f64();
+                Position {
+                    x: r * th.cos(),
+                    y: r * th.sin(),
+                }
+            })
+            .collect();
+        let day = DayProfile::clear();
+        let m = Medium::new(
+            positions.clone(),
+            Shadowing::new(day.clone(), SimRng::from_seed(1)),
+            MediumConfig {
+                path_loss: DualSlope {
+                    near: LogDistance {
+                        reference_loss: Db(62.6),
+                        reference_distance: Meters(1.0),
+                        exponent: 2.42,
+                    },
+                    breakpoint: Meters(500.0),
+                    far_exponent: 4.0,
+                }
+                .into(),
+                day,
+                propagation_delay: SimDuration::from_micros(1),
+                cull: CullPolicy::Audible {
+                    tx_power: Dbm(15.0),
+                    noise_floor: Dbm(-96.6),
+                    margin: Db(CULL_MARGIN_DB),
+                },
+            },
+        );
+        let grid = CellGrid::new(&positions, m.cull_radius);
+        let mut examined = 0usize;
+        for p in &positions {
+            grid.for_each_neighbour(p, |_| examined += 1);
+        }
+        // Every station's scan also visits the station itself.
+        examined -= positions.len();
+        let kept = m.live_links;
+        assert!(kept > 400_000, "large-field scale: {kept} kept links");
+        assert!(
+            examined <= 3 * kept,
+            "scan examined {examined} candidates for {kept} kept links ({:.2}×)",
+            examined as f64 / kept as f64
+        );
+    }
+
+    /// Construction writes membership and distances only: no shadowing
+    /// state and no path loss exist until a station transmits, and a
+    /// transmission materializes exactly its own slice's state.
+    #[test]
+    fn link_state_materializes_on_first_transmit_only() {
+        let positions = spiral(200, 9_000.0);
+        let n = positions.len();
+        let mut m = audible_medium(positions, CULL_MARGIN_DB);
+        assert!(m.live_links > 0);
+        assert_eq!(
+            m.shadowing.initialised_slots(),
+            0,
+            "construction samples nothing"
+        );
+        assert!(m.slot_links.iter().all(|(_, pl)| pl.0.is_nan()));
+        let talkers = [3usize, 50, 51, 120, 199];
+        for (k, &t) in talkers.iter().enumerate() {
+            let now = SimTime::from_micros(300 * k as u64 + 1);
+            m.transmit(
+                NodeId(t as u32),
+                Dbm(15.0),
+                PhyRate::R2,
+                256,
+                Preamble::Long,
+                now,
+            );
+        }
+        let mut expect = 0usize;
+        for tx in 0..n {
+            let (start, end) = m.slice_bounds(tx);
+            let talked = talkers.contains(&tx);
+            if talked {
+                expect += end - start;
+            }
+            for slot in start..end {
+                assert_eq!(
+                    m.shadowing.slot_is_init(slot),
+                    talked,
+                    "slot {slot} of {tx}"
+                );
+                assert_eq!(
+                    !m.slot_links[slot].1 .0.is_nan(),
+                    talked,
+                    "loss {slot} of {tx}"
+                );
+            }
+        }
+        assert!(expect > 0);
+        assert_eq!(m.shadowing.initialised_slots(), expect);
     }
 
     /// The incremental epoch commit must be indistinguishable — bit for
@@ -1981,19 +2218,6 @@ mod tests {
     /// degenerate full-fanout / nothing-kept culls.
     #[test]
     fn incremental_epochs_match_rebuild_bitwise() {
-        fn spiral(n: usize, radius: f64) -> Vec<Position> {
-            (0..n)
-                .map(|k| {
-                    let r = radius * ((k as f64 + 0.5) / n as f64).sqrt();
-                    let th = k as f64 * 2.399_963_229_728_653;
-                    Position {
-                        x: r * th.cos(),
-                        y: r * th.sin(),
-                    }
-                })
-                .collect()
-        }
-
         fn assert_same_state(inc: &Medium, reb: &Medium, tag: &str) {
             assert_eq!(inc.station_count(), reb.station_count());
             assert_eq!(inc.culled_link_count(), reb.culled_link_count(), "{tag}");
@@ -2003,11 +2227,22 @@ mod tests {
                 let tx = NodeId(t as u32);
                 assert_eq!(inc.audible_set(tx), reb.audible_set(tx), "{tag} set {tx:?}");
                 for &rx in inc.audible_set(tx) {
-                    let (di, pi) = inc.slot_links[inc.slot_of(tx, rx).unwrap()];
-                    let (dr, pr) = reb.slot_links[reb.slot_of(tx, rx).unwrap()];
+                    let (si, sr) = (inc.slot_of(tx, rx).unwrap(), reb.slot_of(tx, rx).unwrap());
+                    let (di, pi) = inc.slot_links[si];
+                    let (dr, pr) = reb.slot_links[sr];
                     assert_eq!(di.0.to_bits(), dr.0.to_bits(), "{tag} {tx:?}->{rx:?} d");
                     assert_eq!(pi.0.to_bits(), pr.0.to_bits(), "{tag} {tx:?}->{rx:?} pl");
+                    assert_eq!(
+                        inc.shadowing.slot_is_init(si),
+                        reb.shadowing.slot_is_init(sr),
+                        "{tag} {tx:?}->{rx:?} shadowing state"
+                    );
                 }
+                assert_eq!(
+                    inc.shadowing.initialised_slots(),
+                    reb.shadowing.initialised_slots(),
+                    "{tag}"
+                );
             }
         }
 
@@ -2049,6 +2284,9 @@ mod tests {
                 let mut reb = mk();
                 let n = positions.len();
                 let mut saw_compaction = false;
+                // A compaction that relocated a partly sampled store:
+                // some slots live, some never touched.
+                let mut saw_partial_compaction = false;
                 for epoch in 0..6usize {
                     // ~10% of stations drift toward the field's center —
                     // densification that eventually overflows some CSR
@@ -2070,9 +2308,11 @@ mod tests {
                     if let Some(&first) = moves.first() {
                         moves.push(first);
                     }
+                    let (live, sampled) = (inc.live_links, inc.shadowing.initialised_slots());
                     let ci = inc.commit_epoch(&moves);
                     let cr = reb.commit_epoch_rebuild(&moves);
                     saw_compaction |= ci.compactions > 0;
+                    saw_partial_compaction |= ci.compactions > 0 && 0 < sampled && sampled < live;
                     assert_eq!(
                         EpochChurn {
                             compactions: 0,
@@ -2117,6 +2357,10 @@ mod tests {
                     assert!(
                         saw_compaction,
                         "the densifying chain should overflow a slice and compact"
+                    );
+                    assert!(
+                        saw_partial_compaction,
+                        "a compaction should remap a partly initialised slot store"
                     );
                 }
             }

@@ -21,6 +21,8 @@
 //! asymmetric channels the paper observed.
 
 use std::collections::HashMap;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use desim::{SimDuration, SimRng, SimTime};
 
@@ -143,10 +145,142 @@ pub(crate) struct LinkState {
     fast_db: f64,
 }
 
-/// One dense-store cell: the link's AR(1)/slow state plus its private
-/// substream, or `None` before first sample. [`crate::Medium`]'s epoch
-/// commit relocates these wholesale when the CSR layout changes.
-pub(crate) type SlotEntry = Option<(LinkState, SimRng)>;
+/// One link's AR(1)/slow state plus its private substream.
+type LinkEntry = (LinkState, SimRng);
+
+/// One dense-store cell as [`crate::Medium`]'s epoch commit moves it
+/// around: the link's state, or `None` before first sample.
+pub(crate) type SlotEntry = Option<LinkEntry>;
+
+// Cells are never dropped in place (clearing a slot only unsets its
+// init bit), which is sound only while the state owns no resources.
+const _: () = assert!(!std::mem::needs_drop::<LinkEntry>());
+
+/// The dense per-link state store: one cell per CSR audible slot of the
+/// owning [`crate::Medium`], initialised on first sample.
+///
+/// Cells are uninitialised memory plus an init bitset, so sizing the
+/// store for `n` links writes `n / 8` bytes of bitset and leaves the
+/// cells' pages untouched — a 4096-station field with ~460k kept links
+/// pays for the few links its transmitters actually sample, not for
+/// 33 MB of `None`s. Bit `slot` is set exactly when cell `slot` holds a
+/// live [`LinkEntry`].
+struct SlotStore {
+    cells: Box<[MaybeUninit<LinkEntry>]>,
+    /// Atomic so parallel scatter workers sampling disjoint slots can
+    /// set bits that share a word; serial callers hold `&mut` anyway.
+    init: Box<[AtomicU64]>,
+}
+
+impl SlotStore {
+    fn with_len(n: usize) -> SlotStore {
+        SlotStore {
+            cells: Box::new_uninit_slice(n),
+            init: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn is_init(&self, slot: usize) -> bool {
+        assert!(slot < self.len(), "slot {slot} out of range {}", self.len());
+        self.init[slot / 64].load(Ordering::Relaxed) & (1 << (slot % 64)) != 0
+    }
+
+    fn initialised(&self) -> usize {
+        self.init
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
+    }
+
+    fn take(&mut self, slot: usize) -> SlotEntry {
+        if !self.is_init(slot) {
+            return None;
+        }
+        *self.init[slot / 64].get_mut() &= !(1 << (slot % 64));
+        // SAFETY: the init bit was set, so the cell holds a live entry;
+        // clearing the bit first means it is read out exactly once.
+        Some(unsafe { self.cells[slot].assume_init_read() })
+    }
+
+    fn put(&mut self, slot: usize, entry: SlotEntry) {
+        let bit = 1 << (slot % 64);
+        match entry {
+            Some(e) => {
+                self.cells[slot].write(e);
+                *self.init[slot / 64].get_mut() |= bit;
+            }
+            None => *self.init[slot / 64].get_mut() &= !bit,
+        }
+    }
+
+    fn raw(&mut self) -> RawSlots<'_> {
+        RawSlots {
+            cells: self.cells.as_mut_ptr(),
+            init: &self.init,
+            len: self.cells.len(),
+        }
+    }
+}
+
+impl std::fmt::Debug for SlotStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlotStore")
+            .field("len", &self.len())
+            .field("initialised", &self.initialised())
+            .finish()
+    }
+}
+
+/// Shared-pointer access to a [`SlotStore`]: what both the serial
+/// [`Shadowing::sample_slot`] and the parallel [`ShadowView`] sample
+/// through, so first-sample initialisation has one implementation.
+#[derive(Clone, Copy)]
+struct RawSlots<'a> {
+    cells: *mut MaybeUninit<LinkEntry>,
+    init: &'a [AtomicU64],
+    len: usize,
+}
+
+impl std::fmt::Debug for RawSlots<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RawSlots").field("len", &self.len).finish()
+    }
+}
+
+impl<'a> RawSlots<'a> {
+    /// The entry of `slot`, initialised with `init()` on first access.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have exclusive access to `slot` for `'a`: no
+    /// other live reference to its cell, and no concurrent call with the
+    /// same `slot`. Concurrent calls on *other* slots are fine — they may
+    /// share an init word, which is why the bits are atomic. Relaxed
+    /// ordering suffices because no bit publishes data to another thread:
+    /// within one parallel scatter a slot's bit and cell are touched only
+    /// by that slot's owner, and the fork-join barrier that ends the
+    /// scatter orders them before any later access from another thread.
+    unsafe fn get_or_init(
+        self,
+        slot: usize,
+        init: impl FnOnce() -> LinkEntry,
+    ) -> &'a mut LinkEntry {
+        assert!(slot < self.len, "slot {slot} out of range {}", self.len);
+        let (word, bit) = (&self.init[slot / 64], 1u64 << (slot % 64));
+        // SAFETY: in bounds (checked above); exclusive by the contract.
+        let cell = unsafe { &mut *self.cells.add(slot) };
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            cell.write(init());
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+        // SAFETY: the bit is set, so the cell holds a live entry.
+        unsafe { cell.assume_init_mut() }
+    }
+}
 
 /// Initializes the state for the directed link `tx → rx`: derive the
 /// link's substream from the 15-byte `"shadow/" + tx + rx` label and draw
@@ -236,8 +370,14 @@ impl Ar1Memo {
 /// two paths cannot drift. All profile scalars arrive precomputed.
 #[allow(clippy::too_many_arguments)] // flat on purpose: the hot per-receiver call
 #[inline]
-fn sample_slot_entry(
-    entry: &mut Option<(LinkState, SimRng)>,
+///
+/// # Safety
+///
+/// Exclusive access to `slot` of `slots`, as [`RawSlots::get_or_init`]
+/// requires.
+unsafe fn sample_slot_entry(
+    slots: RawSlots<'_>,
+    slot: usize,
     master: &SimRng,
     tx: NodeId,
     rx: NodeId,
@@ -256,8 +396,9 @@ fn sample_slot_entry(
     if slow == 0.0 && fast == 0.0 {
         return Db(extra_loss);
     }
+    // SAFETY: forwarded from this function's contract.
     let (state, rng) =
-        entry.get_or_insert_with(|| init_link_state(master, tx, rx, slow, fast, now));
+        unsafe { slots.get_or_init(slot, || init_link_state(master, tx, rx, slow, fast, now)) };
     advance_and_read(state, rng, extra_loss, fast, tau, now, &mut memo.0)
 }
 
@@ -269,8 +410,7 @@ fn sample_slot_entry(
 /// obligation (see [`ShadowView::sample_slot`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShadowView<'a> {
-    slots: *mut Option<(LinkState, SimRng)>,
-    len: usize,
+    slots: RawSlots<'a>,
     master: &'a SimRng,
     extra_loss: f64,
     sigma_slow: f64,
@@ -281,7 +421,8 @@ pub struct ShadowView<'a> {
 
 // SAFETY: the raw slot pointer is only dereferenced inside
 // `sample_slot`, whose contract requires disjoint slots across
-// concurrent callers; everything else is shared-read scalars.
+// concurrent callers; the init bits are atomics and everything else is
+// shared-read scalars.
 unsafe impl Send for ShadowView<'_> {}
 unsafe impl Sync for ShadowView<'_> {}
 
@@ -304,24 +445,24 @@ impl ShadowView<'_> {
         now: SimTime,
         memo: &mut Ar1Memo,
     ) -> Db {
-        debug_assert!(slot < self.len, "slot {slot} out of range {}", self.len);
-        // SAFETY: slot is in bounds (the view was built from the live
-        // slot store) and the caller guarantees exclusive access to it.
-        let entry = unsafe { &mut *self.slots.add(slot) };
-        sample_slot_entry(
-            entry,
-            self.master,
-            tx,
-            rx,
-            distance,
-            now,
-            self.extra_loss,
-            self.sigma_slow,
-            self.sigma_fast,
-            self.sigma_full_distance,
-            self.tau,
-            memo,
-        )
+        // SAFETY: the caller guarantees exclusive access to `slot`.
+        unsafe {
+            sample_slot_entry(
+                self.slots,
+                slot,
+                self.master,
+                tx,
+                rx,
+                distance,
+                now,
+                self.extra_loss,
+                self.sigma_slow,
+                self.sigma_fast,
+                self.sigma_full_distance,
+                self.tau,
+                memo,
+            )
+        }
     }
 }
 
@@ -340,7 +481,7 @@ pub struct Shadowing {
     profile: DayProfile,
     master: SimRng,
     links: HashMap<(NodeId, NodeId), (LinkState, SimRng)>,
-    slots: Vec<Option<(LinkState, SimRng)>>,
+    slots: SlotStore,
     ar1_memo: Ar1Memo,
 }
 
@@ -353,7 +494,7 @@ impl Shadowing {
             profile,
             master,
             links: HashMap::new(),
-            slots: Vec::new(),
+            slots: SlotStore::with_len(0),
             ar1_memo: Ar1Memo::new(),
         }
     }
@@ -363,11 +504,15 @@ impl Shadowing {
         &self.profile
     }
 
-    /// Sizes the dense slot store. Called once by [`crate::Medium`] with
-    /// the total CSR audible-slot count; slots initialize lazily on first
-    /// sample.
+    /// Sizes the dense slot store to `n` slots, keeping the state of any
+    /// already-sampled slot below `n`. Called once by [`crate::Medium`]
+    /// with the total CSR audible-slot count; slots initialize lazily on
+    /// first sample, so sizing writes only the init bitset.
     pub fn reserve_slots(&mut self, n: usize) {
-        self.slots.resize_with(n, || None);
+        let keep: Vec<(u32, u32)> = (0..self.slots.len().min(n) as u32)
+            .map(|slot| (slot, slot))
+            .collect();
+        self.remap_slots(n, &keep);
     }
 
     /// Samples the total excess loss (weather offset + shadowing) on the
@@ -417,20 +562,24 @@ impl Shadowing {
         now: SimTime,
     ) -> Db {
         let tau = self.profile.coherence.as_secs_f64().max(1e-9);
-        sample_slot_entry(
-            &mut self.slots[slot],
-            &self.master,
-            tx,
-            rx,
-            distance,
-            now,
-            self.profile.extra_loss.0,
-            self.profile.sigma_slow.0,
-            self.profile.sigma_fast.0,
-            self.profile.sigma_full_distance.0,
-            tau,
-            &mut self.ar1_memo,
-        )
+        // SAFETY: `&mut self` makes this the only access to any slot.
+        unsafe {
+            sample_slot_entry(
+                self.slots.raw(),
+                slot,
+                &self.master,
+                tx,
+                rx,
+                distance,
+                now,
+                self.profile.extra_loss.0,
+                self.profile.sigma_slow.0,
+                self.profile.sigma_fast.0,
+                self.profile.sigma_full_distance.0,
+                tau,
+                &mut self.ar1_memo,
+            )
+        }
     }
 
     // ---- epoch-commit support (crate-internal) ----------------------
@@ -445,32 +594,42 @@ impl Shadowing {
 
     /// Removes and returns the state of dense slot `slot`.
     pub(crate) fn take_slot(&mut self, slot: usize) -> SlotEntry {
-        self.slots[slot].take()
+        self.slots.take(slot)
     }
 
     /// Installs `entry` at dense slot `slot` (used to relocate a
     /// surviving link's state to its new CSR slot).
     pub(crate) fn put_slot(&mut self, slot: usize, entry: SlotEntry) {
-        self.slots[slot] = entry;
+        self.slots.put(slot, entry);
     }
 
     /// Drops the state of dense slot `slot`: the next sample re-derives
     /// it from the master stream exactly as a fresh construction would.
     pub(crate) fn clear_slot(&mut self, slot: usize) {
-        self.slots[slot] = None;
+        self.slots.put(slot, None);
+    }
+
+    /// Whether dense slot `slot` holds link state — i.e. has been sampled
+    /// since construction or since its last clear.
+    #[cfg(test)]
+    pub(crate) fn slot_is_init(&self, slot: usize) -> bool {
+        self.slots.is_init(slot)
+    }
+
+    /// How many dense slots hold link state.
+    #[cfg(test)]
+    pub(crate) fn initialised_slots(&self) -> usize {
+        self.slots.initialised()
     }
 
     /// Rebuilds the dense store at `new_len` slots, relocating each
     /// `(from, to)` entry of `moves` and dropping everything else.
     /// Destination slots must be distinct.
     pub(crate) fn remap_slots(&mut self, new_len: usize, moves: &[(u32, u32)]) {
-        let mut old = std::mem::take(&mut self.slots);
-        let mut slots: Vec<SlotEntry> = Vec::new();
-        slots.resize_with(new_len, || None);
+        let mut old = std::mem::replace(&mut self.slots, SlotStore::with_len(new_len));
         for &(from, to) in moves {
-            slots[to as usize] = old[from as usize].take();
+            self.slots.put(to as usize, old.take(from as usize));
         }
-        self.slots = slots;
     }
 
     /// Drops every HashMap-backed link whose endpoint is flagged in
@@ -500,7 +659,7 @@ impl Shadowing {
             profile: self.profile.clone(),
             master: self.master.clone(),
             links: HashMap::new(),
-            slots: Vec::new(),
+            slots: SlotStore::with_len(0),
             ar1_memo: Ar1Memo::new(),
         }
     }
@@ -511,8 +670,7 @@ impl Shadowing {
     /// their contract (see [`ShadowView::sample_slot`]).
     pub fn view(&mut self) -> ShadowView<'_> {
         ShadowView {
-            slots: self.slots.as_mut_ptr(),
-            len: self.slots.len(),
+            slots: self.slots.raw(),
             master: &self.master,
             extra_loss: self.profile.extra_loss.0,
             sigma_slow: self.profile.sigma_slow.0,
@@ -665,6 +823,76 @@ mod tests {
             // SAFETY: single-threaded; no overlapping slot access.
             let got = unsafe { view.sample_slot(slot, tx, rx, d, t, &mut memo) };
             assert_eq!(want.0.to_bits(), got.0.to_bits(), "slot {slot} at {t:?}");
+        }
+        for slot in 0..6 {
+            assert_eq!(
+                serial.slot_is_init(slot),
+                viewed.slot_is_init(slot),
+                "slot {slot}"
+            );
+        }
+        assert_eq!(viewed.initialised_slots(), 3);
+    }
+
+    /// Concurrent view users on interleaved slots share init-bitset
+    /// words; every first sample must still land its bit, and every
+    /// sample must match the serial path bit for bit.
+    #[test]
+    fn concurrent_view_workers_match_serial_slots_bitwise() {
+        const SLOTS: usize = 200;
+        let mut serial = process(DayProfile::clear(), 42);
+        let mut viewed = process(DayProfile::clear(), 42);
+        serial.reserve_slots(SLOTS);
+        viewed.reserve_slots(SLOTS);
+        let link = |slot: usize| (NodeId(slot as u32), NodeId(slot as u32 + 1000));
+        for round in 0..3u64 {
+            let t = SimTime::from_millis(round * 37 + 1);
+            let want: Vec<u64> = (0..SLOTS)
+                .map(|slot| {
+                    let (tx, rx) = link(slot);
+                    serial
+                        .sample_slot(slot, tx, rx, Meters(120.0), t)
+                        .0
+                        .to_bits()
+                })
+                .collect();
+            let view = viewed.view();
+            let start = std::sync::Barrier::new(2);
+            let lanes: Vec<Vec<(usize, u64)>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..2)
+                    .map(|w| {
+                        let start = &start;
+                        scope.spawn(move || {
+                            let mut memo = Ar1Memo::new();
+                            // Both workers sample at once, so their bits
+                            // land in shared words concurrently.
+                            start.wait();
+                            (w..SLOTS)
+                                .step_by(2)
+                                .map(|slot| {
+                                    let (tx, rx) = link(slot);
+                                    // SAFETY: the two workers take even
+                                    // and odd slots — never the same one.
+                                    let v = unsafe {
+                                        view.sample_slot(slot, tx, rx, Meters(120.0), t, &mut memo)
+                                    };
+                                    (slot, v.0.to_bits())
+                                })
+                                .collect()
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|h| h.join().expect("worker"))
+                    .collect()
+            });
+            let mut got = vec![0u64; SLOTS];
+            for (slot, bits) in lanes.into_iter().flatten() {
+                got[slot] = bits;
+            }
+            assert_eq!(want, got, "round {round}");
+            assert_eq!(viewed.initialised_slots(), SLOTS);
         }
     }
 

@@ -123,7 +123,13 @@ impl Position {
 
     /// Euclidean distance to `other`.
     pub fn distance_to(self, other: Position) -> Meters {
-        Meters(((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt())
+        Meters(self.distance_sq_to(other).sqrt())
+    }
+
+    /// Squared Euclidean distance to `other`, in m²: exactly the value
+    /// [`Position::distance_to`] takes the square root of.
+    pub(crate) fn distance_sq_to(self, other: Position) -> f64 {
+        (self.x - other.x).powi(2) + (self.y - other.y).powi(2)
     }
 }
 

@@ -63,8 +63,11 @@ impl RunCache {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Looks a cell up. Any miss, version mismatch, stale key or parse
-    /// failure returns `None` — the caller simply recomputes.
+    /// Looks a cell up. Any miss, version mismatch, stale key, parse
+    /// failure or implausible value returns `None` — the caller simply
+    /// recomputes. Implausible means a count that is not a whole number
+    /// in `u64` range, a non-finite float, or per-flow arrays of
+    /// different lengths: nothing [`RunCache::store`] can have written.
     pub fn load(&self, spec: &CellSpec) -> Option<CellMetrics> {
         let key = spec.key();
         let text = std::fs::read_to_string(self.path_for(key)).ok()?;
@@ -77,15 +80,24 @@ impl RunCache {
             return None;
         }
         let metrics = json::get(obj, "metrics")?.as_object()?;
+        let finite = |name| json::get_f64(metrics, name).filter(|v| v.is_finite());
+        let finite_array =
+            |name| json::get_f64_array(metrics, name).filter(|vs| vs.iter().all(|v| v.is_finite()));
+        let count = |name| json::get_f64(metrics, name).and_then(whole_count);
+        let flows_kbps = finite_array("flows_kbps")?;
+        let loss_rates = finite_array("loss_rates")?;
+        if flows_kbps.len() != loss_rates.len() {
+            return None;
+        }
         Some(CellMetrics {
-            flows_kbps: json::get_f64_array(metrics, "flows_kbps")?,
-            loss_rates: json::get_f64_array(metrics, "loss_rates")?,
-            fairness: json::get_f64(metrics, "fairness")?,
-            chan_util: json::get_f64(metrics, "chan_util")?,
-            tx_util: json::get_f64(metrics, "tx_util")?,
-            events: json::get_f64(metrics, "events")? as u64,
-            queue_high_water: json::get_f64(metrics, "queue_high_water")? as u64,
-            sim_elapsed_ns: json::get_f64(metrics, "sim_elapsed_ns")? as u64,
+            flows_kbps,
+            loss_rates,
+            fairness: finite("fairness")?,
+            chan_util: finite("chan_util")?,
+            tx_util: finite("tx_util")?,
+            events: count("events")?,
+            queue_high_water: count("queue_high_water")?,
+            sim_elapsed_ns: count("sim_elapsed_ns")?,
         })
     }
 
@@ -126,6 +138,15 @@ impl RunCache {
         }
         std::fs::rename(&tmp, self.path_for(key))
     }
+}
+
+/// `v` as a count, if it is one exactly: a whole number in `u64` range.
+/// (An `as u64` cast would silently map negative, NaN and fractional
+/// values onto some count instead.)
+fn whole_count(v: f64) -> Option<u64> {
+    // 2^64, the first whole number past u64::MAX.
+    const LIMIT: f64 = 18_446_744_073_709_551_616.0;
+    ((0.0..LIMIT).contains(&v) && v.fract() == 0.0).then_some(v as u64)
 }
 
 #[cfg(test)]
@@ -203,6 +224,80 @@ mod tests {
         };
         assert!(cache.load(&other_axis).is_none(), "axis is part of the key");
         std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    /// Stores a valid entry for `spec()`, rewrites one field of its bytes
+    /// with `edit`, and reports whether the result still loads.
+    fn loads_after_edit(tag: &str, edit: impl Fn(String) -> String) -> bool {
+        let cache = RunCache::open(tmp_dir(tag)).expect("open cache");
+        let (s, m) = (spec(), metrics());
+        let edited = edit(RunCache::entry_bytes(&s, &m));
+        assert_ne!(
+            edited,
+            RunCache::entry_bytes(&s, &m),
+            "{tag}: edit must apply"
+        );
+        std::fs::write(cache.path_for(s.key()), edited).expect("write");
+        let hit = cache.load(&s).is_some();
+        std::fs::remove_dir_all(cache.dir()).ok();
+        hit
+    }
+
+    #[test]
+    fn plausible_edit_still_loads() {
+        assert!(loads_after_edit("plausible", |e| e
+            .replace("\"events\":123456789", "\"events\":123456790")));
+    }
+
+    #[test]
+    fn negative_count_reads_as_miss() {
+        assert!(!loads_after_edit("negative", |e| e
+            .replace("\"events\":123456789", "\"events\":-5")));
+    }
+
+    #[test]
+    fn fractional_count_reads_as_miss() {
+        assert!(!loads_after_edit("fractional", |e| {
+            e.replace("\"queue_high_water\":77", "\"queue_high_water\":77.5")
+        }));
+    }
+
+    #[test]
+    fn out_of_range_count_reads_as_miss() {
+        assert!(!loads_after_edit("overflow", |e| {
+            e.replace("\"sim_elapsed_ns\":20000000000", "\"sim_elapsed_ns\":1e20")
+        }));
+        assert!(!loads_after_edit("infinite-count", |e| {
+            e.replace("\"sim_elapsed_ns\":20000000000", "\"sim_elapsed_ns\":1e999")
+        }));
+    }
+
+    #[test]
+    fn nan_count_is_not_a_count() {
+        // JSON text cannot spell NaN, so this case is checked on the
+        // conversion itself; `as u64` would have mapped it to 0.
+        assert_eq!(whole_count(f64::NAN), None);
+        assert_eq!(whole_count(-0.5), None);
+        assert_eq!(whole_count(f64::INFINITY), None);
+        assert_eq!(whole_count(0.0), Some(0));
+        assert_eq!(whole_count(9_007_199_254_740_992.0), Some(1 << 53));
+    }
+
+    #[test]
+    fn mismatched_flow_arrays_read_as_miss() {
+        assert!(!loads_after_edit("mismatch", |e| {
+            e.replace("\"loss_rates\":[0.25,0]", "\"loss_rates\":[0.25]")
+        }));
+    }
+
+    #[test]
+    fn non_finite_float_reads_as_miss() {
+        assert!(!loads_after_edit("inf-fairness", |e| {
+            e.replace("\"fairness\":0.7512341", "\"fairness\":1e999")
+        }));
+        assert!(!loads_after_edit("inf-flow", |e| {
+            e.replace("\"flows_kbps\":[599.03680000001", "\"flows_kbps\":[-1e999")
+        }));
     }
 
     #[test]
