@@ -184,6 +184,15 @@ pub struct EngineStats {
     pub mobility: MobilityStats,
     /// Largest number of pending events ever queued at once.
     pub queue_high_water: usize,
+    /// Per-receiver signals actually scattered: frames × receivers, deaf
+    /// receivers excluded (the sharded executor still scatters whole
+    /// audible sets).
+    pub deliveries: u64,
+    /// Stations classified deaf: they never transmit, and no station
+    /// that may transmit can make them detect a preamble or sense energy,
+    /// so frames skip them (0 on mobile scenarios, which are not
+    /// classified).
+    pub deaf_stations: u64,
     /// Simulated time covered by the run.
     pub sim_elapsed: SimDuration,
     /// Wall-clock time the run took.
@@ -413,6 +422,8 @@ mod tests {
                 kinds: EventKindCounts::default(),
                 mobility: MobilityStats::default(),
                 queue_high_water: 7,
+                deliveries: 0,
+                deaf_stations: 0,
                 sim_elapsed: SimDuration::from_secs(10),
                 wall: std::time::Duration::from_millis(20),
                 profile: None,
@@ -506,6 +517,8 @@ mod tests {
             kinds: EventKindCounts::default(),
             mobility: MobilityStats::default(),
             queue_high_water: 1,
+            deliveries: 0,
+            deaf_stations: 0,
             sim_elapsed: SimDuration::from_secs(1),
             wall: std::time::Duration::ZERO,
             profile: None,
@@ -534,6 +547,8 @@ mod tests {
             kinds,
             mobility: MobilityStats::default(),
             queue_high_water: 1,
+            deliveries: 0,
+            deaf_stations: 0,
             sim_elapsed: SimDuration::from_secs(1),
             wall: std::time::Duration::from_nanos(200),
             profile: Some(desim::ProbeReport {

@@ -308,6 +308,41 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     /// `P: Send` before constructing it (the parallel handlers move node
     /// and probe state across threads through [`SharedMut`]).
     par: Option<ParCtx<P>>,
+    /// The transmitter set: one flag per station, `true` for every
+    /// station on some flow's route in either direction
+    /// ([`transmitter_set`]). Deaf-receiver elision is derived from it,
+    /// so a transmission from outside it panics.
+    transmitters: Vec<bool>,
+    /// Stations classified deaf under `transmitters` (0 on mobile
+    /// scenarios, which are never classified).
+    deaf_stations: u64,
+    /// Per-receiver signals scattered so far.
+    deliveries: u64,
+}
+
+/// Every station that can ever transmit: each flow's route walked hop by
+/// hop (`next_hop(at, dst)`, or `dst` itself when no route is installed),
+/// from source to destination and back. The reverse route carries TCP
+/// ACK segments, and every hop answers with MAC ACKs or CTS frames, so
+/// the stations on both walks are the only ones a frame ever leaves.
+/// A walk takes at most `n` hops: a route that loops keeps every packet
+/// on stations the walk has already visited.
+fn transmitter_set(n: usize, flows: &[FlowSpec], routes: &StaticRoutes) -> Vec<bool> {
+    let mut set = vec![false; n];
+    for f in flows {
+        for (from, to) in [(f.src, f.dst), (f.dst, f.src)] {
+            let mut at = from;
+            set[at.index()] = true;
+            for _ in 0..n {
+                if at == to {
+                    break;
+                }
+                at = routes.next_hop(at, to).unwrap_or(to);
+                set[at.index()] = true;
+            }
+        }
+    }
+    set
 }
 
 impl World {
@@ -329,7 +364,26 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// Assembles a world from a scenario with both a trace sink and a
     /// timing probe (usually a [`desim::WallProbe`] over
     /// [`PROBE_SCOPES`]).
+    ///
+    /// On a static scenario, frames skip every deaf receiver (see
+    /// [`Medium::deaf_receivers`]): a station outside the
+    /// [transmitter set](World::transmitters) that no member of it can
+    /// make detect a preamble or sense energy. Its PHY calls would have
+    /// no observable effect, so the report and the trace are the same as
+    /// with full scatter.
     pub fn with_probe(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
+        World::assemble(scenario, sink, probe, true)
+    }
+
+    /// [`World::with_probe`] with the deaf receivers classified but not
+    /// skipped: every frame scatters to its whole audible set. The
+    /// reference the elision identity tests compare against.
+    #[cfg(test)]
+    fn with_full_scatter(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
+        World::assemble(scenario, sink, probe, false)
+    }
+
+    fn assemble(scenario: Scenario, sink: S, probe: P, elide: bool) -> World<S, P> {
         let Scenario {
             positions,
             radio,
@@ -362,7 +416,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 margin: dot11_phy::Db(CULL_MARGIN_DB),
             }
         };
-        let medium = Medium::new(
+        let mut medium = Medium::new(
             positions.clone(),
             shadowing,
             MediumConfig {
@@ -372,6 +426,20 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 cull,
             },
         );
+        let transmitters = transmitter_set(positions.len(), &flows, &routes);
+        // Moving stations can come to hear a transmitter whose link to
+        // them was never sampled, so mobile scenarios are not classified;
+        // and where every station may transmit, none can be deaf.
+        let deaf_stations = if mobility.is_some() || !transmitters.contains(&false) {
+            0
+        } else {
+            let deaf = medium.deaf_receivers(&transmitters, radio.tx_power, radio.cs_threshold);
+            let count = deaf.iter().filter(|&&d| d).count() as u64;
+            if elide {
+                medium.elide_receivers(deaf);
+            }
+            count
+        };
         let mut radio = radio;
         radio.preamble = mac.preamble;
         let mut nodes = Vec::with_capacity(positions.len());
@@ -435,6 +503,9 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             mobility_stats: MobilityStats::default(),
             move_scratch: Vec::new(),
             par: None,
+            transmitters,
+            deaf_stations,
+            deliveries: 0,
         };
         world.install_endpoints();
         world
@@ -545,6 +616,13 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// report the fan-out a topology actually produces).
     pub fn medium(&self) -> &Medium {
         &self.medium
+    }
+
+    /// The transmitter set, one flag per station: every station on some
+    /// flow's route, in either direction. Only these stations may
+    /// transmit; any other station's transmission panics.
+    pub fn transmitters(&self) -> &[bool] {
+        &self.transmitters
     }
 
     /// Dispatches events until the next one would land after `end`.
@@ -945,6 +1023,19 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         now: SimTime,
     ) {
         let source = self.nodes[idx].id;
+        // The deaf-receiver classification rests on both facts: only the
+        // transmitter set transmits, and one station's frames never
+        // overlap (so a receiver hears at most one signal per
+        // transmitter). Checked in release builds too.
+        assert!(
+            self.transmitters[idx],
+            "station {idx} transmitted but is outside the transmitter set \
+             (no flow routes through it); deaf-receiver elision would be unsound"
+        );
+        assert!(
+            !self.nodes[idx].phy.is_transmitting(),
+            "station {idx} started a frame while its previous one is on the air"
+        );
         let radio = *self.nodes[idx].phy.config();
         // Scatter into a pooled buffer; it rides inside the `InFlight`
         // entry until the transmission's SignalEnd returns it.
@@ -966,6 +1057,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 self.probe.record(SCOPE_SCATTER, tick);
                 out
             };
+        self.deliveries += deliveries.len() as u64;
         let until = now + airtime.total();
         if S::ENABLED {
             self.sink.record(
@@ -1433,6 +1525,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 kinds: self.kind_counts,
                 mobility: self.mobility_stats,
                 queue_high_water: self.sim.queue_high_water(),
+                deliveries: self.deliveries,
+                deaf_stations: self.deaf_stations,
                 // The accounted horizon (same `end` the airtime ledgers
                 // fold to), not the last event's timestamp: how far the
                 // run simulated must not depend on whether the final
@@ -1453,5 +1547,330 @@ impl<S: TraceSink + Clone, P: Probe> std::fmt::Debug for World<S, P> {
             .field("now", &self.sim.now())
             .field("pending", &self.sim.pending())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ScenarioBuilder;
+    use dot11_phy::{DayProfile, PhyRate, Position};
+    use dot11_trace::{JsonlSink, SharedSink};
+
+    const UDP: Traffic = Traffic::SaturatedUdp {
+        payload_bytes: 512,
+        backlog: 10,
+    };
+    const TCP: Traffic = Traffic::BulkTcp { mss: 512 };
+
+    /// How the flows of a sparse test field travel.
+    #[derive(Debug, Clone, Copy)]
+    enum Flows {
+        /// One single-hop flow per sender/receiver pair.
+        SingleHop(Traffic),
+        /// A chain of stations at 60 m pitch with chain routes, and one
+        /// saturated UDP flow from end to end.
+        Chain(u32),
+    }
+
+    /// A sparse field: `bystanders` stations uniform on a disk of
+    /// `radius_m`, plus the flow stations placed `pair_gap_m` apart
+    /// along the x axis, the first at the disk centre. Most bystanders
+    /// sit far beyond carrier-sense range of every flow station.
+    fn sparse_field(
+        bystanders: u32,
+        radius_m: f64,
+        flows: Flows,
+        pairs: u32,
+        pair_gap_m: f64,
+        day: DayProfile,
+        seed: u64,
+    ) -> ScenarioBuilder {
+        let mut b = ScenarioBuilder::new(PhyRate::R2);
+        match flows {
+            Flows::Chain(n) => {
+                b = b.chain(n, 60.0).flow(0, n - 1, UDP);
+            }
+            Flows::SingleHop(traffic) => {
+                for p in 0..pairs {
+                    let x = p as f64 * pair_gap_m;
+                    let src = b.station(Position { x, y: 0.0 });
+                    let dst = b.station(Position {
+                        x: x + 60.0,
+                        y: 0.0,
+                    });
+                    b = b.flow(src.0, dst.0, traffic);
+                }
+            }
+        }
+        b.random_disk(bystanders, radius_m, 7)
+            .day(day)
+            .seed(seed)
+            .duration(SimDuration::from_millis(600))
+            .warmup(SimDuration::from_millis(100))
+    }
+
+    /// Every deterministic field of a report — all but the wall clock,
+    /// the profile and the scattered-delivery count, which elision
+    /// changes by design — with floats in their round-trip form.
+    fn fingerprint(r: &RunReport) -> String {
+        let e = &r.engine;
+        let mut out = format!(
+            "{:?} {:?} {:?} events={} kinds={:?} mobility={:?} qhw={} deaf={} sim={:?}\n",
+            r.duration,
+            r.warmup,
+            r.flows,
+            r.events,
+            e.kinds,
+            e.mobility,
+            e.queue_high_water,
+            e.deaf_stations,
+            e.sim_elapsed
+        );
+        for n in &r.nodes {
+            let a = n.airtime;
+            out += &format!(
+                "{n:?} refined=[{} {} {} {} {}]\n",
+                a.nav_ns, a.difs_ns, a.backoff_ns, a.frozen_ns, a.quiet_ns
+            );
+        }
+        out
+    }
+
+    /// Runs `scenario` elided and with full scatter, each with a JSONL
+    /// trace. Asserts the two reports and traces are identical, and that
+    /// every station classified deaf ended the full-scatter run with no
+    /// lock, missed preamble, capture, RX or carrier-busy time. Returns
+    /// the number of deaf stations.
+    fn assert_elision_exact(label: &str, scenario: impl Fn() -> Scenario) -> usize {
+        let run = |elide: bool| {
+            let sink = SharedSink::new(JsonlSink::new(Vec::new()));
+            let world = if elide {
+                World::with_probe(scenario(), sink.clone(), NoProbe)
+            } else {
+                World::with_full_scatter(scenario(), sink.clone(), NoProbe)
+            };
+            let radio = *world.nodes[0].phy.config();
+            let deaf = world.medium.deaf_receivers(
+                &world.transmitters,
+                radio.tx_power,
+                radio.cs_threshold,
+            );
+            let report = world.run();
+            let trace = sink
+                .take()
+                .into_inner()
+                .expect("writing to a Vec cannot fail");
+            (report, trace, deaf)
+        };
+        let (elided, elided_trace, deaf) = run(true);
+        let (full, full_trace, _) = run(false);
+        assert_eq!(
+            fingerprint(&elided),
+            fingerprint(&full),
+            "{label}: elided report diverged from full scatter"
+        );
+        assert!(
+            elided_trace == full_trace,
+            "{label}: elided trace diverged from full scatter"
+        );
+        assert!(
+            full.nodes.iter().any(|n| n.mac.delivered > 0),
+            "{label}: no frame delivered"
+        );
+        let deaf_count = deaf.iter().filter(|&&d| d).count();
+        assert_eq!(elided.engine.deaf_stations, deaf_count as u64, "{label}");
+        for (node, _) in full.nodes.iter().zip(&deaf).filter(|(_, &d)| d) {
+            let (p, a) = (node.phy, node.airtime);
+            assert_eq!(
+                (p.locks, p.missed_preambles, p.captures, a.rx_ns, a.busy_ns),
+                (0, 0, 0, 0, 0),
+                "{label}: deaf station {:?} heard something under full scatter",
+                node.node
+            );
+        }
+        if deaf_count > 0 {
+            assert!(
+                elided.engine.deliveries < full.engine.deliveries,
+                "{label}: nothing elided"
+            );
+        }
+        deaf_count
+    }
+
+    #[test]
+    fn elision_is_exact_on_sparse_fields() {
+        let days = [
+            DayProfile::clear(),
+            DayProfile::rainy(),
+            DayProfile::still(),
+        ];
+        let kinds = [
+            ("udp", Flows::SingleHop(UDP)),
+            ("tcp", Flows::SingleHop(TCP)),
+            ("chain", Flows::Chain(4)),
+        ];
+        for (k, &(kind, flows)) in kinds.iter().enumerate() {
+            for (d, day) in days.iter().enumerate() {
+                for full_fanout in [false, true] {
+                    let label = format!("{kind}/{}/full_fanout={full_fanout}", day.name);
+                    let seed = 1 + (k * 3 + d) as u64;
+                    let deaf = assert_elision_exact(&label, || {
+                        let b = sparse_field(120, 2_500.0, flows, 3, 350.0, day.clone(), seed);
+                        if full_fanout { b.full_fanout() } else { b }.build()
+                    });
+                    assert!(deaf > 0, "{label}: the field has no deaf station");
+                }
+            }
+        }
+    }
+
+    /// The production-scale check: a 4096-station field, too slow for a
+    /// debug-mode test run. Run it with
+    /// `cargo test --release -p dot11-adhoc -- --ignored`.
+    #[test]
+    #[ignore = "4096-station field; run in release with --ignored"]
+    fn elision_is_exact_on_a_4096_station_field() {
+        let deaf = assert_elision_exact("field4096", || {
+            sparse_field(
+                4096,
+                12_000.0,
+                Flows::SingleHop(UDP),
+                16,
+                700.0,
+                DayProfile::clear(),
+                3,
+            )
+            .duration(SimDuration::from_secs(2))
+            .build()
+        });
+        assert!(deaf > 3_500, "only {deaf} of 4096 stations deaf");
+    }
+
+    /// Runs `scenario` and checks that its scatter elided nothing: no
+    /// station classified deaf, and every frame reached its transmitter's
+    /// whole audible set.
+    fn assert_nothing_elided(label: &str, scenario: Scenario) {
+        let world = World::new(scenario);
+        let audible: Vec<u64> = (0..world.nodes.len())
+            .map(|t| world.medium.audible_count(NodeId(t as u32)) as u64)
+            .collect();
+        let report = world.run();
+        assert_eq!(report.engine.deaf_stations, 0, "{label}");
+        let frames: u64 = report.nodes.iter().map(|n| n.phy.tx_frames).sum();
+        assert!(frames > 0, "{label}: nothing transmitted");
+        let full: u64 = report
+            .nodes
+            .iter()
+            .zip(&audible)
+            .map(|(n, &a)| n.phy.tx_frames * a)
+            .sum();
+        assert_eq!(report.engine.deliveries, full, "{label}");
+    }
+
+    #[test]
+    fn delivery_and_deaf_counters_are_exact() {
+        // A static 1024-station field: both counters pinned, and fewer
+        // deliveries than the audible sets would scatter.
+        let world = sparse_field(
+            1024,
+            6_000.0,
+            Flows::SingleHop(UDP),
+            4,
+            350.0,
+            DayProfile::clear(),
+            5,
+        )
+        .build()
+        .into_world();
+        let audible: Vec<u64> = (0..world.nodes.len())
+            .map(|t| world.medium.audible_count(NodeId(t as u32)) as u64)
+            .collect();
+        let report = world.run();
+        assert_eq!(
+            (report.engine.deaf_stations, report.engine.deliveries),
+            (982, 75_705),
+            "field1024 counters moved"
+        );
+        let full: u64 = report
+            .nodes
+            .iter()
+            .zip(&audible)
+            .map(|(n, &a)| n.phy.tx_frames * a)
+            .sum();
+        assert!(report.engine.deliveries < full);
+        // Dense or mobile worlds elide nothing.
+        assert_nothing_elided(
+            "fig7 udp basic",
+            crate::experiments::four_station::scenario(
+                crate::experiments::ExpConfig::quick(),
+                PhyRate::R11,
+                crate::experiments::four_station::FourStationLayout::AsymmetricAt11,
+                crate::experiments::four_station::SessionTransport::Udp,
+                crate::analytic::AccessScheme::Basic,
+            ),
+        );
+        assert_nothing_elided(
+            "chain16",
+            ScenarioBuilder::new(PhyRate::R2)
+                .chain(16, 80.0)
+                .duration(SimDuration::from_millis(300))
+                .warmup(SimDuration::from_millis(100))
+                .flow(0, 15, UDP)
+                .build(),
+        );
+        let mut mobile = ScenarioBuilder::new(PhyRate::R2)
+            .random_disk(64, 120.0, 7)
+            .duration(SimDuration::from_millis(600))
+            .warmup(SimDuration::from_millis(100))
+            .mobility(
+                crate::MobilityConfig::waypoint(20.0).with_epoch(SimDuration::from_millis(250)),
+            );
+        for (src, dst) in [(0, 1), (2, 3), (4, 5)] {
+            mobile = mobile.flow(src, dst, UDP);
+        }
+        let report = mobile.build().run();
+        assert_eq!(report.engine.deaf_stations, 0, "mobile-disk64");
+        assert!(report.engine.mobility.epochs > 0);
+        assert!(report.engine.deliveries > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "station 0 transmitted but is outside the transmitter set")]
+    fn transmission_from_outside_the_transmitter_set_panics() {
+        let mut world = ScenarioBuilder::new(PhyRate::R2)
+            .line(&[0.0, 50.0, 5_000.0])
+            .flow(0, 1, UDP)
+            .duration(SimDuration::from_millis(50))
+            .warmup(SimDuration::from_millis(10))
+            .build()
+            .into_world();
+        assert_eq!(world.transmitters(), &[true, true, false]);
+        world.transmitters[0] = false;
+        world.run();
+    }
+
+    #[test]
+    fn transmitter_set_walks_routes_both_ways() {
+        let mut routes = StaticRoutes::default();
+        routes.add(NodeId(0), NodeId(3), NodeId(1));
+        routes.add(NodeId(1), NodeId(3), NodeId(2));
+        routes.add(NodeId(3), NodeId(0), NodeId(4));
+        // A loop 5 → 6 → 5 toward 7 must terminate and keep both hops.
+        routes.add(NodeId(5), NodeId(7), NodeId(6));
+        routes.add(NodeId(6), NodeId(7), NodeId(5));
+        let flow = |id, src, dst| FlowSpec {
+            id: FlowId(id),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            traffic: UDP,
+            start: SimDuration::ZERO,
+        };
+        let set = transmitter_set(9, &[flow(0, 0, 3), flow(1, 5, 7)], &routes);
+        assert_eq!(
+            set,
+            [true, true, true, true, true, true, true, true, false],
+            "forward 0-1-2-3, reverse 3-4-0, looping 5-6 plus its reverse 7-5"
+        );
     }
 }

@@ -151,6 +151,9 @@ pub struct Medium {
     /// Mutable bucket grid reused across epoch commits (`None` until the
     /// first commit; static runs never build it).
     epoch_grid: Option<EpochGrid>,
+    /// Dense per-station flag: receivers [`Medium::transmit_into`] skips
+    /// (set by [`Medium::elide_receivers`]; all `false` otherwise).
+    elided: Vec<bool>,
     next_tx: u64,
 }
 
@@ -799,6 +802,7 @@ impl Medium {
             live_links,
             cull_radius: radius,
             epoch_grid: None,
+            elided: vec![false; n],
             next_tx: 0,
         }
     }
@@ -883,7 +887,7 @@ impl Medium {
     }
 
     /// The audible set of `tx`: the receivers `transmit_into` will
-    /// scatter to, in station order.
+    /// scatter to (unless elided), in station order.
     pub fn audible_set(&self, tx: NodeId) -> &[NodeId] {
         let (start, end) = self.slice_bounds(tx.index());
         &self.audible[start..end]
@@ -913,6 +917,92 @@ impl Medium {
         n * n.saturating_sub(1) - self.live_links
     }
 
+    /// Classifies every station as **deaf** or listening, given the
+    /// complete set of stations that may ever transmit (`transmitters`,
+    /// one flag per station): a deaf station never transmits, and no
+    /// transmitter can ever make it detect a preamble or sense energy.
+    ///
+    /// With U(T→R) = `tx_power − path_loss − DayProfile::min_excess` the
+    /// best-case power at R from transmitter T, R is deaf when both hold
+    /// over the transmitters whose audible slice holds R:
+    ///
+    /// * every U(T→R) is below `cs_threshold`;
+    /// * Σ 10^(U/10) stays below the threshold in mW by a 1e-6 relative
+    ///   margin (which covers `powf` rounding and the PHY's compensated
+    ///   sum).
+    ///
+    /// Every sampled power is ≤ U bit for bit (the shadowing deviation is
+    /// clamped and float subtraction rounds monotonically), so a deaf
+    /// receiver that hears at most one signal per transmitter at a time
+    /// never locks and never turns carrier-busy (see ARCHITECTURE.md,
+    /// "Deaf-receiver elision"). Examines only the transmitters' audible
+    /// slices, and computes path losses without filling the link cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transmitters.len()` differs from the station count.
+    pub fn deaf_receivers(
+        &self,
+        transmitters: &[bool],
+        tx_power: Dbm,
+        cs_threshold: Dbm,
+    ) -> Vec<bool> {
+        let n = self.positions.len();
+        assert_eq!(transmitters.len(), n, "one transmitter flag per station");
+        let min_excess = self.config.day.min_excess();
+        // Best-case powers summed per receiver, in mW; infinite once one
+        // transmitter alone can reach `cs_threshold`, which settles the
+        // receiver as listening and skips its remaining links.
+        let mut best_sum_mw = vec![0.0f64; n];
+        for tx in (0..n).filter(|&t| transmitters[t]) {
+            let (start, end) = self.slice_bounds(tx);
+            for slot in start..end {
+                let rx = self.audible[slot];
+                let sum = &mut best_sum_mw[rx.index()];
+                if *sum == f64::INFINITY {
+                    continue;
+                }
+                let mut cell = self.slot_links[slot];
+                let (_, pl) = fill_slot_link(
+                    &mut cell,
+                    &self.positions,
+                    &self.config.path_loss,
+                    NodeId(tx as u32),
+                    rx,
+                );
+                let best = tx_power - pl - min_excess;
+                *sum = if best.0 >= cs_threshold.0 {
+                    f64::INFINITY
+                } else {
+                    *sum + best.to_milliwatts().0
+                };
+            }
+        }
+        let threshold_mw = cs_threshold.to_milliwatts().0;
+        best_sum_mw
+            .iter()
+            .zip(transmitters)
+            .map(|(&sum, &tx)| !tx && sum * (1.0 + 1e-6) < threshold_mw)
+            .collect()
+    }
+
+    /// Makes [`Medium::transmit_into`] skip every receiver flagged in
+    /// `skip` (one flag per station): no shadowing sample, no delivery.
+    /// Audible sets, [`Medium::audible_count`] and culling are unchanged.
+    ///
+    /// Exact only for receivers whose PHY calls would have no observable
+    /// effect — the ones [`Medium::deaf_receivers`] classifies under the
+    /// transmitter set the caller enforces — and only while positions
+    /// stay put: a later epoch commit panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `skip.len()` differs from the station count.
+    pub fn elide_receivers(&mut self, skip: Vec<bool>) {
+        assert_eq!(skip.len(), self.positions.len(), "one flag per station");
+        self.elided = skip;
+    }
+
     /// Samples the received power on the directed link `tx → rx` at `now`
     /// given the transmitter's TX power: (cached) path loss plus the
     /// current shadowing state of that link.
@@ -939,8 +1029,9 @@ impl Medium {
 
     /// Launches a transmission at `now` from `source`, appending the
     /// signal as it will appear at every station in `source`'s audible
-    /// set (in station order) to `deliveries`, powers sampled at launch
-    /// (block-fading per frame).
+    /// set (in station order, minus the receivers
+    /// [`Medium::elide_receivers`] skips) to `deliveries`, powers sampled
+    /// at launch (block-fading per frame).
     ///
     /// `deliveries` must arrive **empty** (debug-asserted): clearing is
     /// hoisted to the caller, which recycles its buffers — a recycled
@@ -981,9 +1072,13 @@ impl Medium {
         // advance, and power subtraction per receiver, with the slot index
         // doubling as the shadowing-state index (no per-receiver search or
         // hashing). The arithmetic and draw order match `rx_power` on the
-        // slotted path exactly.
+        // slotted path exactly. An elided receiver's link stream has no
+        // other reader, so leaving it unsampled changes no other link.
         for slot in start..end {
             let rx = self.audible[slot];
+            if self.elided[rx.index()] {
+                continue;
+            }
             let (d, pl) = self.slot_link(slot, source);
             let excess = self.shadowing.sample_slot(slot, source, rx, d, now);
             deliveries.push((
@@ -1289,6 +1384,12 @@ impl Medium {
     /// position wins), drops bit-identical no-ops, records each real
     /// mover's pre-epoch position, and updates `positions`.
     fn apply_moves(&mut self, moves: &[(NodeId, Position)]) -> EpochPlan {
+        // A moved station can start hearing a transmitter whose link to
+        // it was never sampled while it was skipped.
+        assert!(
+            !self.elided.contains(&true),
+            "receiver elision requires static positions"
+        );
         let n = self.positions.len();
         let mut moved = vec![false; n];
         let mut movers: Vec<(u32, Position)> = Vec::new();
@@ -2484,6 +2585,38 @@ mod tests {
         assert_eq!(split.cross_links, 8, "2×2 directed pairs × 2 directions");
         let shattered = m.frontier_links(&[0, 1, 2, 3]);
         assert_eq!(shattered.cross_links, all_links);
+    }
+
+    /// Skipping a receiver draws nothing from any other link: the other
+    /// receivers' powers are bitwise those of a medium that skips none.
+    #[test]
+    fn elided_receivers_leave_other_links_bitwise_unchanged() {
+        let positions: Vec<Position> = (0..6).map(|i| Position::on_line(i as f64 * 40.0)).collect();
+        let mut full = medium(positions.clone(), false);
+        let mut elided = medium(positions, false);
+        let skip = vec![false, false, true, false, true, false];
+        elided.elide_receivers(skip.clone());
+        for frame in 0..12u64 {
+            let now = SimTime::from_micros(frame * 700);
+            let src = NodeId((frame % 6) as u32);
+            let (_, _, all) = full.transmit(src, Dbm(15.0), PhyRate::R2, 100, Preamble::Long, now);
+            let (_, _, kept) =
+                elided.transmit(src, Dbm(15.0), PhyRate::R2, 100, Preamble::Long, now);
+            let expected: Vec<_> = all.iter().filter(|(rx, _)| !skip[rx.index()]).collect();
+            assert_eq!(kept.len(), expected.len());
+            for ((rx_a, a), (rx_b, b)) in expected.into_iter().zip(&kept) {
+                assert_eq!(rx_a, rx_b);
+                assert_eq!(a.rx_power.0.to_bits(), b.rx_power.0.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "receiver elision requires static positions")]
+    fn epoch_commit_with_elided_receivers_panics() {
+        let mut m = medium(vec![Position::on_line(0.0), Position::on_line(10.0)], true);
+        m.elide_receivers(vec![false, true]);
+        m.commit_epoch(&[(NodeId(1), Position::on_line(20.0))]);
     }
 
     #[test]

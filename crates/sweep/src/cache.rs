@@ -66,8 +66,10 @@ impl RunCache {
     /// Looks a cell up. Any miss, version mismatch, stale key, parse
     /// failure or implausible value returns `None` — the caller simply
     /// recomputes. Implausible means a count that is not a whole number
-    /// in `u64` range, a non-finite float, or per-flow arrays of
-    /// different lengths: nothing [`RunCache::store`] can have written.
+    /// in `u64` range, a non-finite float, or per-flow arrays whose
+    /// length is not the cell's flow count (an entry written by an older
+    /// scenario recipe, say): nothing [`RunCache::store`] can have
+    /// written for this cell.
     pub fn load(&self, spec: &CellSpec) -> Option<CellMetrics> {
         let key = spec.key();
         let text = std::fs::read_to_string(self.path_for(key)).ok()?;
@@ -86,7 +88,8 @@ impl RunCache {
         let count = |name| json::get_f64(metrics, name).and_then(whole_count);
         let flows_kbps = finite_array("flows_kbps")?;
         let loss_rates = finite_array("loss_rates")?;
-        if flows_kbps.len() != loss_rates.len() {
+        let flows = spec.scenario.flow_count();
+        if flows_kbps.len() != flows || loss_rates.len() != flows {
             return None;
         }
         Some(CellMetrics {
@@ -287,6 +290,27 @@ mod tests {
     fn mismatched_flow_arrays_read_as_miss() {
         assert!(!loads_after_edit("mismatch", |e| {
             e.replace("\"loss_rates\":[0.25,0]", "\"loss_rates\":[0.25]")
+        }));
+    }
+
+    #[test]
+    fn flow_arrays_of_another_recipe_read_as_miss() {
+        // Consistent with each other, but not with the cell's two flows.
+        assert!(RunCache::entry_bytes(&spec(), &metrics())
+            .contains("\"flows_kbps\":[599.03680000001,2714],\"loss_rates\":[0.25,0]"));
+        assert!(!loads_after_edit("three-flows", |e| {
+            e.replace("\"loss_rates\":[0.25,0]", "\"loss_rates\":[0.25,0,0]")
+                .replace(
+                    "\"flows_kbps\":[599.03680000001,2714]",
+                    "\"flows_kbps\":[599.03680000001,2714,1]",
+                )
+        }));
+        assert!(!loads_after_edit("one-flow", |e| {
+            e.replace("\"loss_rates\":[0.25,0]", "\"loss_rates\":[0.25]")
+                .replace(
+                    "\"flows_kbps\":[599.03680000001,2714]",
+                    "\"flows_kbps\":[599.03680000001]",
+                )
         }));
     }
 

@@ -310,6 +310,17 @@ impl SweepScenario {
         }
     }
 
+    /// Number of flows [`SweepScenario::build`] installs: the length of
+    /// a cell's per-flow metric arrays, known without building anything.
+    pub fn flow_count(&self) -> usize {
+        match *self {
+            SweepScenario::TwoStation { .. } | SweepScenario::Chain { .. } => 1,
+            SweepScenario::FourStation { .. } | SweepScenario::HiddenTriple { .. } => 2,
+            SweepScenario::RandomDisk { .. } | SweepScenario::MobileDisk { .. } => 3,
+            SweepScenario::Grid { rows, .. } => rows as usize,
+        }
+    }
+
     /// Expands the recipe into a runnable [`Scenario`].
     pub fn build(&self, params: RunParams, seed: u64) -> Scenario {
         match *self {
@@ -844,6 +855,47 @@ mod tests {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::from_millis(200),
             threads: 1,
+        }
+    }
+
+    #[test]
+    fn flow_count_matches_the_built_scenario() {
+        let params = RunParams::quick();
+        let mut recipes = SweepScenario::hidden3();
+        for figure in [7, 9, 11, 12] {
+            recipes.extend(SweepScenario::figure(figure));
+        }
+        recipes.extend([
+            SweepScenario::TwoStation {
+                rate: PhyRate::R2,
+                distance_m: 50.0,
+                transport: SessionTransport::Tcp,
+                scheme: AccessScheme::Basic,
+            },
+            SweepScenario::Chain {
+                n: 16,
+                spacing_m: 80.0,
+                rate: PhyRate::R2,
+            },
+            SweepScenario::Grid {
+                rows: 3,
+                cols: 4,
+                spacing_m: 80.0,
+                rate: PhyRate::R2,
+            },
+            SweepScenario::RandomDisk {
+                n: 20,
+                radius_m: 120.0,
+                topo_seed: 7,
+                rate: PhyRate::R2,
+            },
+            SweepScenario::mobile_disk64(20.0),
+        ]);
+        for r in recipes {
+            // `Scenario`'s Debug form is the public view of its flow list.
+            let built = format!("{:?}", r.build(params, 1));
+            let expected = format!("flows: {},", r.flow_count());
+            assert!(built.contains(&expected), "{}: {built}", r.name());
         }
     }
 

@@ -383,6 +383,23 @@ fn parse_seed_range(s: &str) -> Option<std::ops::RangeInclusive<u64>> {
     (!range.is_empty()).then_some(range)
 }
 
+/// Every scenario-group name [`parse_scenario_group`] accepts.
+const SCENARIO_GROUPS: [&str; 13] = [
+    "fig7",
+    "fig9",
+    "fig11",
+    "fig12",
+    "chain16",
+    "chain64",
+    "grid16",
+    "disk20",
+    "disk4096",
+    "hidden3",
+    "mobile-disk64",
+    "mobile-disk64-slow",
+    "mobile-disk64-fast",
+];
+
 fn parse_scenario_group(name: &str) -> Option<Vec<dot11_sweep::SweepScenario>> {
     use dot11_sweep::SweepScenario;
     match name {
@@ -462,9 +479,8 @@ fn parse_sweep_args(args: Vec<String>) -> SweepArgs {
                 for name in v.split(',') {
                     let group = parse_scenario_group(name).unwrap_or_else(|| {
                         sweep_usage(&format!(
-                            "unknown scenario {name:?} (try fig7, fig9, fig11, fig12, \
-                             chain16, chain64, grid16, disk20, disk4096, hidden3, \
-                             mobile-disk64, mobile-disk64-slow, mobile-disk64-fast)"
+                            "unknown scenario {name:?} (try {})",
+                            SCENARIO_GROUPS.join(", ")
                         ))
                     });
                     out.scenarios.push((name.to_owned(), group));
@@ -830,10 +846,13 @@ fn engine_json(e: &EngineStats) -> String {
         String::new()
     };
     format!(
-        "{{\"events\":{},\"queue_high_water\":{},\"sim_elapsed_ns\":{},\"wall_ns\":{},\
-         \"speedup\":{:.1},\"events_per_sec\":{:.0},\"kinds\":{{{}}}{mobility}{profile}}}",
+        "{{\"events\":{},\"queue_high_water\":{},\"deliveries\":{},\"deaf_stations\":{},\
+         \"sim_elapsed_ns\":{},\"wall_ns\":{},\"speedup\":{:.1},\"events_per_sec\":{:.0},\
+         \"kinds\":{{{}}}{mobility}{profile}}}",
         e.events,
         e.queue_high_water,
+        e.deliveries,
+        e.deaf_stations,
         e.sim_elapsed.as_nanos(),
         e.wall.as_nanos(),
         e.speedup(),
@@ -1064,4 +1083,50 @@ fn print_four_station(title: &str, cells: Vec<FourStationCell>) {
         );
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn engine_json_carries_the_exact_scatter_counters() {
+        let cell = dot11_sweep::SweepScenario::figure(7)[0];
+        let params = dot11_sweep::RunParams {
+            duration: SimDuration::from_millis(300),
+            warmup: SimDuration::from_millis(100),
+            threads: 1,
+        };
+        let e = cell.build(params, 1).run().engine;
+        assert!(e.deliveries > 0);
+        let json = engine_json(&e);
+        let expected = format!("\"deliveries\":{},\"deaf_stations\":0,", e.deliveries);
+        assert!(json.contains(&expected), "{json}");
+    }
+
+    /// Every station that transmits in a registry scenario is in its
+    /// world's transmitter set: the set deaf-receiver elision is derived
+    /// from covers forward routes, TCP reverse routes and MAC responses.
+    #[test]
+    fn registry_transmitters_stay_in_the_transmitter_set() {
+        let params = dot11_sweep::RunParams {
+            duration: SimDuration::from_millis(300),
+            warmup: SimDuration::from_millis(100),
+            threads: 1,
+        };
+        for name in SCENARIO_GROUPS {
+            let group = parse_scenario_group(name).expect("registry name parses");
+            for scenario in group {
+                let world = scenario.build(params, 1).into_world();
+                let set = world.transmitters().to_vec();
+                let report = world.run();
+                let mut transmitted = 0;
+                for n in report.nodes.iter().filter(|n| n.phy.tx_frames > 0) {
+                    assert!(set[n.node.index()], "{name}: {:?} transmitted", n.node);
+                    transmitted += 1;
+                }
+                assert!(transmitted > 0, "{name}: nothing transmitted");
+            }
+        }
+    }
 }
