@@ -41,7 +41,6 @@ pub fn bench_config() -> ExpConfig {
         seed: 3,
         duration: SimDuration::from_secs(1),
         warmup: SimDuration::from_millis(200),
-        threads: 1,
     }
 }
 
@@ -301,9 +300,9 @@ pub const GATED_METRICS: [(&str, bool); 4] = [
     ("ns_per_event", true),
     ("sim_ns_per_wall_ns", false),
     ("deliveries_per_frame", true),
-    // Sharded-executor speedup over the serial run (parallel group):
-    // regresses *downward* — a lower multiple means the parallel
-    // sections stopped pulling their weight.
+    // Incremental epoch commit over full rebuild (mobility group):
+    // regresses *downward* — a lower multiple means the incremental
+    // path stopped pulling its weight.
     ("speedup", false),
 ];
 

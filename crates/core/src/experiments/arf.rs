@@ -80,7 +80,6 @@ fn measure(cfg: ExpConfig, rate: PhyRate, distance: f64, arf: bool, salt: u64) -
                     .wrapping_mul(7321)
                     .wrapping_add(salt * SESSIONS_PER_POINT + session),
             )
-            .threads(cfg.threads)
             .duration(cfg.duration)
             .warmup(cfg.warmup)
             .flow(

@@ -66,7 +66,6 @@ fn measure(cfg: ExpConfig, rate: PhyRate, rts: bool, traffic: Traffic) -> f64 {
         .seed(cfg.seed)
         .duration(cfg.duration)
         .warmup(cfg.warmup)
-        .threads(cfg.threads)
         .flow(0, 1, traffic)
         .run();
     report.flow(FlowId(0)).throughput_kbps / 1000.0

@@ -66,7 +66,6 @@ pub fn loss_curve(cfg: ExpConfig, rate: PhyRate, day: DayProfile, distances: &[f
                         .wrapping_mul(1009)
                         .wrapping_add(i as u64 * SESSIONS_PER_POINT + session),
                 )
-                .threads(cfg.threads)
                 .duration(cfg.duration)
                 .warmup(SimDuration::ZERO)
                 .flow(

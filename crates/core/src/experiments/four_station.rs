@@ -136,7 +136,6 @@ pub fn scenario(
         .seed(cfg.seed)
         .duration(cfg.duration)
         .warmup(cfg.warmup)
-        .threads(cfg.threads)
         .flow(0, 1, traffic)
         .flow(2, 3, traffic)
         .build()

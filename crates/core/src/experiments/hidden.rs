@@ -49,7 +49,6 @@ pub fn hidden_triple(
         .seed(cfg.seed)
         .duration(cfg.duration)
         .warmup(cfg.warmup)
-        .threads(cfg.threads)
         .flow(0, 1, traffic)
         .flow(2, 1, traffic)
         .build()
@@ -66,7 +65,6 @@ mod tests {
             seed: 5,
             duration: SimDuration::from_secs(1),
             warmup: SimDuration::from_millis(100),
-            threads: 1,
         };
         let s = hidden_triple(cfg, PhyRate::R2, AccessScheme::Basic, 512);
         assert_eq!(s.positions.len(), 3);

@@ -44,10 +44,6 @@ pub struct ExpConfig {
     pub duration: SimDuration,
     /// Warm-up excluded from throughput windows.
     pub warmup: SimDuration,
-    /// Worker threads per run: 1 (the default) runs serial, more selects
-    /// the sharded executor ([`crate::World::run_sharded`]) — results
-    /// are byte-identical either way.
-    pub threads: usize,
 }
 
 impl ExpConfig {
@@ -61,7 +57,6 @@ impl ExpConfig {
             seed: 105,
             duration: SimDuration::from_secs(20),
             warmup: SimDuration::from_secs(2),
-            threads: 1,
         }
     }
 
@@ -72,19 +67,12 @@ impl ExpConfig {
             seed: 105,
             duration: SimDuration::from_secs(4),
             warmup: SimDuration::from_millis(500),
-            threads: 1,
         }
     }
 
     /// The same configuration with another seed.
     pub fn with_seed(mut self, seed: u64) -> ExpConfig {
         self.seed = seed;
-        self
-    }
-
-    /// The same configuration with another worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> ExpConfig {
-        self.threads = threads.max(1);
         self
     }
 }

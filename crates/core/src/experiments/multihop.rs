@@ -78,7 +78,6 @@ fn run_chain(
         .seed(cfg.seed)
         .duration(cfg.duration)
         .warmup(cfg.warmup)
-        .threads(cfg.threads)
         .flow(0, hops, traffic)
         .run();
     report.flow(FlowId(0)).throughput_kbps

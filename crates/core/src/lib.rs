@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analytic;
 pub mod calib;
@@ -38,7 +39,6 @@ pub mod mobility;
 pub mod node;
 pub mod range;
 pub mod scenario;
-pub mod shard;
 pub mod stats;
 pub mod world;
 
@@ -46,7 +46,6 @@ pub use calib::{calibrated_medium_config, calibrated_path_loss};
 pub use mobility::{MobilityConfig, MovementModel, TracePoint};
 pub use range::{estimate_crossing, LossCurve};
 pub use scenario::{Scenario, ScenarioBuilder, Traffic};
-pub use shard::ShardMap;
 pub use stats::{EngineStats, FlowReport, MobilityStats, NodeReport, RunReport, Summary};
 pub use world::World;
 

@@ -87,7 +87,6 @@ pub struct Scenario {
     pub(crate) duration: SimDuration,
     pub(crate) warmup: SimDuration,
     pub(crate) full_fanout: bool,
-    pub(crate) threads: usize,
     pub(crate) mobility: Option<MobilityConfig>,
 }
 
@@ -129,20 +128,9 @@ impl Scenario {
         World::new(self)
     }
 
-    /// Requests the sharded executor with this many worker threads for
-    /// [`Scenario::run`] (see [`World::run_sharded`]). `1` (the default)
-    /// keeps the run serial; any value yields a report byte-identical to
-    /// the serial one.
-    pub fn with_threads(mut self, threads: usize) -> Scenario {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Builds and runs to completion, sharded across the scenario's
-    /// configured thread count (serial when that is 1).
+    /// Builds and runs to completion.
     pub fn run(self) -> RunReport {
-        let threads = self.threads;
-        self.into_world().run_sharded(threads)
+        self.into_world().run()
     }
 
     /// Builds the world with a trace sink attached (see
@@ -240,7 +228,6 @@ impl ScenarioBuilder {
                 duration: SimDuration::from_secs(10),
                 warmup: SimDuration::from_secs(1),
                 full_fanout: false,
-                threads: 1,
                 mobility: None,
             },
             next_flow: 0,
@@ -344,14 +331,6 @@ impl ScenarioBuilder {
     /// ones — the model draws from its own substream of the run seed.
     pub fn mobility(mut self, config: MobilityConfig) -> ScenarioBuilder {
         self.scenario.mobility = Some(config);
-        self
-    }
-
-    /// Worker-thread budget for [`Scenario::run`]: values above 1 select
-    /// the sharded executor (see [`World::run_sharded`]), whose schedule
-    /// is byte-identical to the serial one.
-    pub fn threads(mut self, threads: usize) -> ScenarioBuilder {
-        self.scenario.threads = threads.max(1);
         self
     }
 

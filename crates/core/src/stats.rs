@@ -185,8 +185,7 @@ pub struct EngineStats {
     /// Largest number of pending events ever queued at once.
     pub queue_high_water: usize,
     /// Per-receiver signals actually scattered: frames × receivers, deaf
-    /// receivers excluded (the sharded executor still scatters whole
-    /// audible sets).
+    /// receivers excluded.
     pub deliveries: u64,
     /// Stations classified deaf: they never transmit, and no station
     /// that may transmit can make them detect a preamble or sense energy,

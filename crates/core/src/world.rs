@@ -12,22 +12,19 @@
 
 use std::collections::HashMap;
 
-use desim::{
-    EventHandle, NoProbe, Probe, SharedMut, SimDuration, SimRng, SimTime, Simulator, WorkerPool,
-};
+use desim::{EventHandle, NoProbe, Probe, SimDuration, SimRng, SimTime, Simulator};
 use dot11_mac::{DcfMac, FrameKind, MacAction, MacFrame, MacSdu, TimerKind};
 use dot11_net::{CbrSource, SaturatedSource, TcpConfig};
 use dot11_net::{FlowId, Packet, Segment, StaticRoutes, TcpOutput, TcpReceiver, TcpSender};
 use dot11_phy::{
-    Ar1Memo, CullPolicy, Medium, MediumConfig, NodeId, PhyState, RxOutcome, RxOutcomeKind,
-    Shadowing, TxId, TxSignal, CULL_MARGIN_DB,
+    CullPolicy, Medium, MediumConfig, NodeId, PhyState, RxOutcomeKind, Shadowing, TxId, TxSignal,
+    CULL_MARGIN_DB,
 };
 use dot11_trace::{FrameClass, NullSink, RxErrorCause, TraceRecord, TraceSink};
 
 use crate::mobility::MobilityEngine;
 use crate::node::{Node, UdpSink};
 use crate::scenario::{FlowSpec, Scenario, Traffic};
-use crate::shard::ShardMap;
 use crate::stats::{
     EngineStats, EventKindCounts, FlowReport, MobilityStats, NodeReport, RunReport,
 };
@@ -171,46 +168,6 @@ fn timer_slot(kind: TimerKind) -> usize {
     }
 }
 
-/// Minimum per-event fan-out before the parallel paths engage. Below
-/// this the fork-join dispatch (~a few hundred ns even with spinning
-/// workers) costs more than the per-receiver physics it distributes, so
-/// small events run the serial loops inline — which also keeps the
-/// paper-scale four-station scenarios effectively serial under any
-/// thread count.
-const PAR_MIN_ITEMS: usize = 8;
-
-/// Slots per scatter work unit: workers claim strided chunks of the
-/// audible slice, large enough to amortize the claim arithmetic and keep
-/// each worker's link-cache/shadowing writes contiguous.
-const SCATTER_CHUNK: usize = 16;
-
-/// Per-run state of the sharded executor (present only during
-/// [`World::run_sharded`]).
-///
-/// The conservative unit of parallelism is a **single event**: the
-/// coordinator pops events one at a time in exactly the serial order and
-/// fans the independent per-receiver physics *inside* each event across
-/// the pool — per-receiver PHY state is disjoint (a receiver appears at
-/// most once in a delivery list), and signal-event commits never mutate
-/// another station's PHY or the medium, so prework commutes and the
-/// serial commit loop reproduces the serial schedule byte for byte (the
-/// full argument lives in ARCHITECTURE.md, "Sharded execution").
-struct ParCtx<P> {
-    pool: WorkerPool,
-    /// Spatial shard of each station ([`ShardMap`]); a receiver's worker
-    /// is `shard_of[rx] % threads` — deterministic, affinity-stable, and
-    /// contiguous in the state arrays.
-    shard_of: Vec<u32>,
-    /// One probe per worker lane (lane 0 is the coordinator inside
-    /// broadcasts). Workers record only the phase scopes; the merged
-    /// totals fold into the main probe's report after the run.
-    probes: Vec<P>,
-    /// Per-delivery outcome slots for the signal-end prework (PHY decode
-    /// consumes per-station randomness, so outcomes must be recorded,
-    /// then committed in delivery order).
-    results: Vec<Option<RxOutcome>>,
-}
-
 struct InFlight {
     frame: MacFrame<Packet>,
     /// Per-receiver signals, in station order. Walked by the batched
@@ -303,11 +260,6 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     mobility_stats: MobilityStats,
     /// Recycled per-epoch move buffer.
     move_scratch: Vec<(NodeId, dot11_phy::Position)>,
-    /// Sharded-executor state; `Some` only inside
-    /// [`World::run_sharded`], which guarantees `S: Send + Sync` and
-    /// `P: Send` before constructing it (the parallel handlers move node
-    /// and probe state across threads through [`SharedMut`]).
-    par: Option<ParCtx<P>>,
     /// The transmitter set: one flag per station, `true` for every
     /// station on some flow's route in either direction
     /// ([`transmitter_set`]). Deaf-receiver elision is derived from it,
@@ -396,7 +348,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             duration,
             warmup,
             full_fanout,
-            threads: _,
             mobility,
         } = scenario;
         let master = SimRng::from_seed(seed);
@@ -502,7 +453,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             mobility,
             mobility_stats: MobilityStats::default(),
             move_scratch: Vec::new(),
-            par: None,
             transmitters,
             deaf_stations,
             deliveries: 0,
@@ -564,50 +514,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             // spans to the run boundary, not the last event.
             self.sink.finish(end);
         }
-        self.report(wall_start.elapsed())
-    }
-
-    /// Runs the scenario on `threads` cooperating threads, producing a
-    /// report **byte-identical** to [`World::run`].
-    ///
-    /// The event loop stays serial — one event popped at a time, in
-    /// exactly the serial order — and the pool parallelizes the
-    /// independent physics *inside* each event (frame scatter, arrival
-    /// scans, BER decodes), with all state commits and event scheduling
-    /// performed by the coordinator in the serial order. See
-    /// ARCHITECTURE.md, "Sharded execution", for the equivalence
-    /// argument; the determinism suite asserts it on every golden seed.
-    ///
-    /// Falls back to the serial executor when it can't help or can't be
-    /// used: `threads <= 1`, fewer than two stations, or an enabled
-    /// trace sink (trace emission inside the parallel sections would
-    /// interleave nondeterministically; probes are fine — each worker
-    /// records into its own, merged afterwards).
-    pub fn run_sharded(mut self, threads: usize) -> RunReport
-    where
-        S: Send + Sync,
-        P: Send,
-    {
-        if threads <= 1 || S::ENABLED || self.nodes.len() < 2 {
-            return self.run();
-        }
-        let wall_start = std::time::Instant::now();
-        // A handful of shards per worker keeps the strided shard→worker
-        // assignment balanced even when shard populations are uneven.
-        let shards = ShardMap::spatial(&self.medium, threads * 4);
-        self.par = Some(ParCtx {
-            pool: WorkerPool::new(threads),
-            shard_of: shards.into_assignment(),
-            probes: (0..threads).map(|_| self.probe.fresh()).collect(),
-            results: Vec::new(),
-        });
-        let end = SimTime::ZERO + self.duration;
-        self.step_until(end);
-        let par = self.par.take().expect("parallel context set above");
-        for p in &par.probes {
-            self.probe.merge(p);
-        }
-        drop(par); // parks, stops, and joins the worker pool
         self.report(wall_start.elapsed())
     }
 
@@ -752,9 +658,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
 
     /// One mobility epoch: advance the movement model to `now`, commit
     /// the moved stations to the medium (incrementally, or by full
-    /// rebuild when the scenario asked for the reference mode), re-bin
-    /// the spatial shard map if the sharded executor is live, and arm the
-    /// next epoch.
+    /// rebuild when the scenario asked for the reference mode), and arm
+    /// the next epoch.
     ///
     /// Carrier-locked receivers are unaffected on purpose: an in-flight
     /// transmission sampled its per-receiver powers at launch (the
@@ -776,16 +681,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             self.medium.commit_epoch(&moves)
         };
         self.mobility_stats.accumulate(churn);
-        if churn.moved > 0 {
-            if let Some(par) = self.par.as_mut() {
-                // Re-bin the spatial shards: worker affinity should keep
-                // following the geometry (pure function of positions, so
-                // this does not perturb the schedule — only which lane
-                // does which receiver's prework).
-                let threads = par.pool.threads();
-                par.shard_of = ShardMap::spatial(&self.medium, threads * 4).into_assignment();
-            }
-        }
         self.move_scratch = moves;
         self.mobility = Some((engine, epoch, rebuild));
         self.sim.schedule_in_trailing(epoch, Event::TopologyUpdate);
@@ -1040,23 +935,17 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         // Scatter into a pooled buffer; it rides inside the `InFlight`
         // entry until the transmission's SignalEnd returns it.
         let mut deliveries = self.delivery_pool.get();
-        let (tx_id, airtime) =
-            if self.par.is_some() && self.medium.audible_count(source) >= PAR_MIN_ITEMS {
-                self.par_scatter(source, &radio, rate, frame.mpdu_bytes, now, &mut deliveries)
-            } else {
-                let tick = self.probe.tick();
-                let out = self.medium.transmit_into(
-                    source,
-                    radio.tx_power,
-                    rate,
-                    frame.mpdu_bytes,
-                    radio.preamble,
-                    now,
-                    &mut deliveries,
-                );
-                self.probe.record(SCOPE_SCATTER, tick);
-                out
-            };
+        let tick = self.probe.tick();
+        let (tx_id, airtime) = self.medium.transmit_into(
+            source,
+            radio.tx_power,
+            rate,
+            frame.mpdu_bytes,
+            radio.preamble,
+            now,
+            &mut deliveries,
+        );
+        self.probe.record(SCOPE_SCATTER, tick);
         self.deliveries += deliveries.len() as u64;
         let until = now + airtime.total();
         if S::ENABLED {
@@ -1102,146 +991,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         self.in_flight.push((tx_id, InFlight { frame, deliveries }));
     }
 
-    // --- sharded-executor parallel sections --------------------------------
-    //
-    // Each helper fans one event's independent per-receiver physics
-    // across the pool and leaves every state commit (MAC input, event
-    // scheduling, carrier-sense edges) to the coordinator in delivery
-    // order. Soundness rests on two structural facts, both asserted by
-    // the determinism suite and argued in ARCHITECTURE.md:
-    //
-    // 1. a receiver appears at most once per delivery list (audible sets
-    //    are sets), so per-receiver PHY mutations are disjoint;
-    // 2. commits during signal events never mutate another station's PHY
-    //    or the medium (`MacAction::Transmit` only arises from timer
-    //    events), so prework outputs equal what the serial interleaving
-    //    would have produced.
-    //
-    // The `SharedMut` accesses below all follow the same pattern: worker
-    // `w` touches only `probes[w]` plus state owned by receivers whose
-    // shard is congruent to `w` mod threads — statically disjoint — and
-    // the fork-join barrier in `broadcast` ends every borrow before the
-    // coordinator resumes.
-
-    /// Parallel form of the [`Medium::transmit_into`] scatter: workers
-    /// fill strided chunks of the audible slice directly into the
-    /// delivery buffer's spare capacity. Bitwise identical to the serial
-    /// loop (same shared fill/sampling helpers; per-worker AR(1) memos
-    /// only skip recomputing a pure function of the time delta).
-    fn par_scatter(
-        &mut self,
-        source: NodeId,
-        radio: &dot11_phy::RadioConfig,
-        rate: dot11_phy::PhyRate,
-        mpdu_bytes: u32,
-        now: SimTime,
-        deliveries: &mut Vec<(NodeId, TxSignal)>,
-    ) -> (TxId, dot11_phy::FrameAirtime) {
-        debug_assert!(deliveries.is_empty());
-        let (job, airtime) = self.medium.begin_scatter(
-            source,
-            radio.tx_power,
-            rate,
-            mpdu_bytes,
-            radio.preamble,
-            now,
-        );
-        let n = job.end_slot - job.start_slot;
-        deliveries.reserve(n);
-        let par = self.par.as_mut().expect("parallel context");
-        let threads = par.pool.threads();
-        let probes = SharedMut::new(par.probes.as_mut_slice());
-        let spare = SharedMut::new(deliveries.spare_capacity_mut());
-        let view = self.medium.scatter_view();
-        let chunks = n.div_ceil(SCATTER_CHUNK);
-        par.pool.broadcast(&|w| {
-            // SAFETY: lane w's probe, touched by lane w alone.
-            let probe = unsafe { &mut (*probes.get())[w] };
-            let tick = probe.tick();
-            let mut memo = Ar1Memo::new();
-            // SAFETY: chunks are disjoint slot ranges; each writes its
-            // own delivery indices of the spare capacity.
-            let base = unsafe { (*spare.get()).as_mut_ptr() as *mut (NodeId, TxSignal) };
-            let mut c = w;
-            while c < chunks {
-                let lo = job.start_slot + c * SCATTER_CHUNK;
-                let hi = (lo + SCATTER_CHUNK).min(job.end_slot);
-                // SAFETY: disjoint ranges (strided chunks), capacity n.
-                unsafe { view.fill(&job, lo..hi, base, &mut memo) };
-                c += threads;
-            }
-            probe.record(SCOPE_SCATTER, tick);
-        });
-        // SAFETY: the chunks cover 0..n exactly once and the barrier has
-        // completed, so all n elements are initialized.
-        unsafe { deliveries.set_len(n) };
-        (job.tx_id, airtime)
-    }
-
-    /// Parallel arrival prework for [`World::on_signal_start`]: every
-    /// receiver's interference bookkeeping runs on its shard's worker.
-    /// Receivers' PHY states are disjoint, so this equals the serial
-    /// interleaving; the carrier-sense commits follow serially.
-    fn par_signal_start_prework(&mut self, deliveries: &[(NodeId, TxSignal)], now: SimTime) {
-        let par = self.par.as_mut().expect("parallel context");
-        let threads = par.pool.threads();
-        let shard_of: &[u32] = &par.shard_of;
-        let nodes = SharedMut::new(self.nodes.as_mut_slice());
-        let probes = SharedMut::new(par.probes.as_mut_slice());
-        par.pool.broadcast(&|w| {
-            // SAFETY: lane w's probe, touched by lane w alone.
-            let probe = unsafe { &mut (*probes.get())[w] };
-            for &(rx, ref sig) in deliveries {
-                if shard_of[rx.index()] as usize % threads != w {
-                    continue;
-                }
-                let tick = probe.tick();
-                // SAFETY: rx appears once in the list and its shard maps
-                // to exactly one lane — no other thread touches it.
-                let node = unsafe { &mut (*nodes.get())[rx.index()] };
-                node.phy.signal_start(sig, now);
-                probe.record(SCOPE_ARRIVAL_SCAN, tick);
-            }
-        });
-    }
-
-    /// Parallel decode prework for [`World::on_signal_end`]: the PHY
-    /// outcome of every receiver resolves on its shard's worker and is
-    /// recorded per delivery index (decoding consumes the receiver's own
-    /// randomness, so outcomes can't be recomputed at commit time). The
-    /// coordinator then commits them in delivery order.
-    fn par_signal_end_prework(
-        &mut self,
-        deliveries: &[(NodeId, TxSignal)],
-        tx_id: TxId,
-        now: SimTime,
-    ) {
-        let par = self.par.as_mut().expect("parallel context");
-        par.results.clear();
-        par.results.resize(deliveries.len(), None);
-        let threads = par.pool.threads();
-        let shard_of: &[u32] = &par.shard_of;
-        let nodes = SharedMut::new(self.nodes.as_mut_slice());
-        let probes = SharedMut::new(par.probes.as_mut_slice());
-        let results = SharedMut::new(par.results.as_mut_slice());
-        par.pool.broadcast(&|w| {
-            // SAFETY: lane w's probe, touched by lane w alone.
-            let probe = unsafe { &mut (*probes.get())[w] };
-            for (di, &(rx, _)) in deliveries.iter().enumerate() {
-                if shard_of[rx.index()] as usize % threads != w {
-                    continue;
-                }
-                let tick = probe.tick();
-                // SAFETY: as in the arrival prework — one lane per rx.
-                let node = unsafe { &mut (*nodes.get())[rx.index()] };
-                let out = node.phy.signal_end(tx_id, now);
-                // SAFETY: delivery index di belongs to rx's lane only.
-                unsafe { (*results.get())[di] = out };
-                probe.record(SCOPE_BER_EVAL, tick);
-            }
-        });
-    }
-
     /// Index of a live transmission in the sorted `in_flight` table.
     fn in_flight_idx(&self, tx_id: TxId) -> usize {
         self.in_flight
@@ -1259,25 +1008,13 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         // goes back afterwards; `on_signal_end` walks the same one.
         let i = self.in_flight_idx(tx_id);
         let deliveries = std::mem::take(&mut self.in_flight[i].1.deliveries);
-        if self.par.is_some() && deliveries.len() >= PAR_MIN_ITEMS {
-            // Sharded mode: interference bookkeeping per receiver is
-            // independent (disjoint PHY states, schedules nothing), so it
-            // fans out; the carrier-sense commits — which can reach the
-            // MAC and the event queue — replay serially in delivery
-            // order, as the serial loop interleaved them.
-            self.par_signal_start_prework(&deliveries, now);
-            for &(rx, _) in &deliveries {
-                self.sync_cs(rx.index(), now);
-            }
-        } else {
-            for &(rx, ref sig) in &deliveries {
-                // Scope only the PHY arrival bookkeeping: `sync_cs` may
-                // cascade into MAC actions, which time themselves.
-                let tick = self.probe.tick();
-                self.nodes[rx.index()].phy.signal_start(sig, now);
-                self.probe.record(SCOPE_ARRIVAL_SCAN, tick);
-                self.sync_cs(rx.index(), now);
-            }
+        for &(rx, ref sig) in &deliveries {
+            // Scope only the PHY arrival bookkeeping: `sync_cs` may
+            // cascade into MAC actions, which time themselves.
+            let tick = self.probe.tick();
+            self.nodes[rx.index()].phy.signal_start(sig, now);
+            self.probe.record(SCOPE_ARRIVAL_SCAN, tick);
+            self.sync_cs(rx.index(), now);
         }
         let i = self.in_flight_idx(tx_id);
         self.in_flight[i].1.deliveries = deliveries;
@@ -1286,21 +1023,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     fn on_signal_end(&mut self, tx_id: TxId, now: SimTime) {
         let i = self.in_flight_idx(tx_id);
         let deliveries = std::mem::take(&mut self.in_flight[i].1.deliveries);
-        if self.par.is_some() && deliveries.len() >= PAR_MIN_ITEMS {
-            // Sharded mode: resolve every receiver's decode outcome in
-            // parallel (it consumes the receiver's own randomness, hence
-            // the per-index result capture), then commit serially in
-            // delivery order — the exact serial interleaving.
-            self.par_signal_end_prework(&deliveries, tx_id, now);
-            let mut results = std::mem::take(&mut self.par.as_mut().expect("ctx").results);
-            for (di, &(rx, _)) in deliveries.iter().enumerate() {
-                self.commit_signal_end(rx, tx_id, results[di].take(), now);
-            }
-            self.par.as_mut().expect("ctx").results = results;
-        } else {
-            for &(rx, _) in &deliveries {
-                self.signal_end_at(rx, tx_id, now);
-            }
+        for &(rx, _) in &deliveries {
+            self.signal_end_at(rx, tx_id, now);
         }
         let i = self.in_flight_idx(tx_id);
         self.in_flight.remove(i);
@@ -1318,20 +1042,6 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         let tick = self.probe.tick();
         let outcome = self.nodes[idx].phy.signal_end(tx_id, now);
         self.probe.record(SCOPE_BER_EVAL, tick);
-        self.commit_signal_end(rx, tx_id, outcome, now);
-    }
-
-    /// The state-committing half of a receiver's signal end: feed the MAC
-    /// any decode outcome, re-sync carrier sense. Shared by the serial
-    /// walk ([`World::signal_end_at`]) and the sharded commit loop.
-    fn commit_signal_end(
-        &mut self,
-        rx: NodeId,
-        tx_id: TxId,
-        outcome: Option<RxOutcome>,
-        now: SimTime,
-    ) {
-        let idx = rx.index();
         // Only the (rare) locked receiver can produce MAC input: skip the
         // action-buffer round-trip entirely for the other members of the
         // fan-out.

@@ -7,11 +7,8 @@
 //!
 //! The event loop is deliberately serial: reproducibility of a simulation
 //! run given a seed is a correctness requirement for the experiments built
-//! on top, and a work-stealing executor would trade that away. Parallelism
-//! is offered *inside* an event instead — [`WorkerPool`] provides a
-//! low-latency fork-join broadcast that higher layers use to fan
-//! independent per-receiver work across cores while the event schedule
-//! stays byte-identical to single-threaded execution.
+//! on top, and one run occupies exactly one thread. Parallelism belongs
+//! across independent runs (the sweep layer's `--jobs`), never inside one.
 //!
 //! # Example
 //!
@@ -34,15 +31,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-mod pool;
 mod probe;
 mod queue;
 mod rng;
 mod sim;
 mod time;
 
-pub use pool::{SharedMut, WorkerPool};
 pub use probe::{NoProbe, Probe, ProbeReport, ScopeStats, WallProbe};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;

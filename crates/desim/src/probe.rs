@@ -45,22 +45,6 @@ pub trait Probe {
     /// Charges the time since `since` to scope index `scope`.
     fn record(&mut self, scope: usize, since: Self::Tick);
 
-    /// A new probe with the same configuration (scope table, armed state)
-    /// but zeroed accumulators. The sharded executor hands each worker
-    /// thread a fresh probe so hot-path recording never contends, then
-    /// folds the workers back with [`Probe::merge`].
-    fn fresh(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Folds another probe's accumulated scopes into this one, scope by
-    /// scope: counts and totals add, mins/maxes widen. Merging wall-time
-    /// scopes recorded on concurrent threads can legitimately attribute
-    /// more than 100% of elapsed wall time — overlap is real time spent.
-    fn merge(&mut self, other: &Self)
-    where
-        Self: Sized;
-
     /// The accumulated histogram, if this probe measured anything.
     fn report(&self) -> Option<ProbeReport> {
         None
@@ -81,14 +65,6 @@ impl Probe for NoProbe {
 
     #[inline(always)]
     fn record(&mut self, _scope: usize, _since: ()) {}
-
-    #[inline(always)]
-    fn fresh(&self) -> NoProbe {
-        NoProbe
-    }
-
-    #[inline(always)]
-    fn merge(&mut self, _other: &NoProbe) {}
 }
 
 /// One scope's accumulated wall time.
@@ -126,21 +102,6 @@ impl ScopeStats {
         self.count += 1;
         self.total_ns += ns;
         self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Folds another accumulator for the same scope into this one.
-    fn absorb(&mut self, other: &ScopeStats) {
-        if other.count == 0 {
-            return;
-        }
-        self.min_ns = if self.count == 0 {
-            other.min_ns
-        } else {
-            self.min_ns.min(other.min_ns)
-        };
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 
     /// Mean region length, nanoseconds (0 when nothing was recorded).
@@ -233,28 +194,6 @@ impl Probe for WallProbe {
         }
     }
 
-    fn fresh(&self) -> WallProbe {
-        WallProbe {
-            armed: self.armed,
-            scopes: self
-                .scopes
-                .iter()
-                .map(|s| ScopeStats::empty(s.name))
-                .collect(),
-        }
-    }
-
-    fn merge(&mut self, other: &WallProbe) {
-        debug_assert_eq!(
-            self.scopes.len(),
-            other.scopes.len(),
-            "merging probes over different scope tables"
-        );
-        for (mine, theirs) in self.scopes.iter_mut().zip(&other.scopes) {
-            mine.absorb(theirs);
-        }
-    }
-
     fn report(&self) -> Option<ProbeReport> {
         self.armed.then(|| ProbeReport {
             scopes: self.scopes.clone(),
@@ -328,73 +267,6 @@ mod tests {
         let all = r.total_ns_of(&["alpha", "beta", "gamma", "missing"]);
         let sum: u64 = r.scopes.iter().map(|s| s.total_ns).sum();
         assert_eq!(all, sum);
-    }
-
-    #[test]
-    fn fresh_clones_configuration_not_data() {
-        let mut p = WallProbe::new(&SCOPES);
-        let t = p.tick();
-        p.record(1, t);
-        let f = Probe::fresh(&p);
-        assert!(f.is_armed());
-        let r = f.report().expect("armed");
-        assert_eq!(r.scopes.len(), 3);
-        assert!(r.scopes.iter().all(|s| s.count == 0));
-        // A disarmed probe stays disarmed through fresh().
-        let off = WallProbe::off(&SCOPES);
-        assert!(!Probe::fresh(&off).is_armed());
-        // NoProbe round-trips trivially.
-        let mut n = NoProbe;
-        let n2 = Probe::fresh(&n);
-        Probe::merge(&mut n, &n2);
-    }
-
-    #[test]
-    fn merge_folds_worker_scopes_into_one_report() {
-        let mut main = WallProbe::new(&SCOPES);
-        let t = main.tick();
-        main.record(0, t);
-        let mut worker = Probe::fresh(&main);
-        for _ in 0..4 {
-            let t = worker.tick();
-            std::hint::black_box(());
-            worker.record(1, t);
-        }
-        let worker_beta = worker.report().expect("report").scopes[1];
-        Probe::merge(&mut main, &worker);
-        let r = main.report().expect("report");
-        let beta = r.scope("beta").expect("beta");
-        assert_eq!(beta.count, 4);
-        assert_eq!(beta.total_ns, worker_beta.total_ns);
-        assert_eq!(beta.min_ns, worker_beta.min_ns);
-        assert_eq!(beta.max_ns, worker_beta.max_ns);
-        assert_eq!(r.scope("alpha").expect("alpha").count, 1);
-        // Merging an all-empty probe changes nothing.
-        let before = r.clone();
-        let blank = Probe::fresh(&main);
-        Probe::merge(&mut main, &blank);
-        assert_eq!(main.report().expect("report"), before);
-    }
-
-    #[test]
-    fn scope_stats_absorb_matches_replayed_adds() {
-        let mut a = ScopeStats::empty("x");
-        a.add(10);
-        a.add(30);
-        let mut b = ScopeStats::empty("x");
-        b.add(2);
-        b.add(50);
-        let mut merged = a;
-        merged.absorb(&b);
-        let mut replay = ScopeStats::empty("x");
-        for ns in [10, 30, 2, 50] {
-            replay.add(ns);
-        }
-        assert_eq!(merged, replay);
-        // Absorbing into an empty accumulator copies the other side.
-        let mut empty = ScopeStats::empty("x");
-        empty.absorb(&b);
-        assert_eq!(empty, b);
     }
 
     #[test]

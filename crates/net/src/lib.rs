@@ -21,6 +21,7 @@
 //! airtime and header arithmetic, never payload data.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod app;
 pub mod packet;

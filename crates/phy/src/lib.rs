@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod ber;
 pub mod medium;
@@ -48,14 +49,11 @@ pub mod state;
 pub mod units;
 
 pub use ber::{ber, packet_success_prob, Modulation};
-pub use medium::{
-    CullPolicy, EpochChurn, FrontierReport, Medium, MediumConfig, ScatterJob, ScatterView, TxId,
-    TxSignal, CULL_MARGIN_DB,
-};
+pub use medium::{CullPolicy, EpochChurn, Medium, MediumConfig, TxId, TxSignal, CULL_MARGIN_DB};
 pub use pathloss::{DualSlope, FreeSpace, LogDistance, PathLoss, PathLossModel, TwoRayGround};
 pub use plcp::{FrameAirtime, Preamble};
 pub use radio::RadioConfig;
 pub use rate::PhyRate;
-pub use shadowing::{Ar1Memo, DayProfile, ShadowView, Shadowing, DEVIATION_BOUND_DB};
+pub use shadowing::{DayProfile, Shadowing, DEVIATION_BOUND_DB};
 pub use state::{Airtime, PhyIndication, PhyState, RxOutcome, RxOutcomeKind};
 pub use units::{Db, Dbm, Meters, MilliWatts, NodeId, Position};

@@ -12,7 +12,7 @@ use desim::{SimDuration, SimTime};
 use crate::pathloss::{PathLoss, PathLossModel};
 use crate::plcp::{FrameAirtime, Preamble};
 use crate::rate::PhyRate;
-use crate::shadowing::{Ar1Memo, DayProfile, ShadowView, Shadowing, SlotEntry};
+use crate::shadowing::{DayProfile, Shadowing, SlotEntry};
 use crate::units::{Db, Dbm, Meters, NodeId, Position};
 
 /// Identifier of one transmission on the medium (unique within a run).
@@ -163,75 +163,6 @@ pub struct Medium {
 /// unambiguously marks "not computed yet".
 const UNFILLED: f64 = f64::NAN;
 
-/// Reads the lazy link-cache entry `cell` for the directed link
-/// `tx → rx`, filling it on first touch. This is the one fill routine —
-/// shared by the serial [`Medium::slot_link`] and the parallel
-/// [`ScatterView::fill`] — so the two scatter paths cannot drift.
-#[inline]
-fn fill_slot_link(
-    cell: &mut (Meters, Db),
-    positions: &[Position],
-    path_loss: &PathLossModel,
-    tx: NodeId,
-    rx: NodeId,
-) -> (Meters, Db) {
-    let (d, pl) = *cell;
-    if !pl.0.is_nan() {
-        return (d, pl);
-    }
-    let d = if d.0.is_nan() {
-        positions[tx.index()].distance_to(positions[rx.index()])
-    } else {
-        d
-    };
-    let pl = path_loss.path_loss(d);
-    *cell = (d, pl);
-    (d, pl)
-}
-
-/// One transmission whose per-receiver scatter is delegated to
-/// [`ScatterView::fill`] workers: everything [`Medium::transmit_into`]'s
-/// loop needs, captured by value so the fill calls are pure functions of
-/// `(job, slot)` plus the per-slot link/shadowing state.
-#[derive(Debug, Clone, Copy)]
-pub struct ScatterJob {
-    /// The allocated transmission id.
-    pub tx_id: TxId,
-    /// The transmitting station.
-    pub source: NodeId,
-    /// First CSR slot of `source`'s audible slice.
-    pub start_slot: usize,
-    /// One past the last CSR slot of the slice; `end_slot - start_slot`
-    /// deliveries will be produced.
-    pub end_slot: usize,
-    tx_power: Dbm,
-    rate: PhyRate,
-    mpdu_bytes: u32,
-    preamble: Preamble,
-    now: SimTime,
-    starts_at: SimTime,
-    ends_at: SimTime,
-}
-
-/// Cross-shard structure of the audible-link graph under a station
-/// partition — the frontier the sharded executor's conservative
-/// lookahead argument rests on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontierReport {
-    /// Total directed links kept by culling (CSR entries).
-    pub total_links: usize,
-    /// Kept links whose transmitter and receiver lie in different
-    /// shards: the only channels through which one shard can influence
-    /// another.
-    pub cross_links: usize,
-    /// Conservative lookahead horizon: the minimum latency any
-    /// cross-shard influence experiences. Propagation delay is uniform,
-    /// so a transmission committed at time `T` cannot place a signal at
-    /// any receiver — in particular one across a frontier link — before
-    /// `T + horizon`.
-    pub horizon: SimDuration,
-}
-
 /// Link-churn accounting for one mobility epoch, returned by
 /// [`Medium::commit_epoch`] (and, with identical values, by the
 /// [`Medium::commit_epoch_rebuild`] reference — both modes count through
@@ -311,82 +242,6 @@ fn count_slice_churn(
                 j += 1;
             }
             (None, None) => unreachable!(),
-        }
-    }
-}
-
-/// A `Send + Sync` window onto a [`Medium`] for parallel scatter: shared
-/// reads of the CSR geometry plus raw access to the lazily-filled link
-/// cache and shadowing slots. Obtained via [`Medium::scatter_view`];
-/// concurrent [`fill`](ScatterView::fill) calls must cover disjoint slot
-/// ranges.
-#[derive(Clone, Copy)]
-pub struct ScatterView<'a> {
-    audible: &'a [NodeId],
-    slot_links: *mut (Meters, Db),
-    positions: &'a [Position],
-    path_loss: PathLossModel,
-    shadow: ShadowView<'a>,
-}
-
-// SAFETY: the raw link-cache pointer is only dereferenced inside `fill`,
-// whose contract requires disjoint slot ranges across concurrent
-// callers; `shadow` carries the same per-slot contract, and the
-// remaining fields are shared reads.
-unsafe impl Send for ScatterView<'_> {}
-unsafe impl Sync for ScatterView<'_> {}
-
-impl ScatterView<'_> {
-    /// Produces the deliveries for `slots` (a sub-range of
-    /// `job.start_slot..job.end_slot`), writing delivery `slot` to
-    /// `out[slot - job.start_slot]`. Bitwise identical to the
-    /// corresponding iterations of [`Medium::transmit_into`]'s loop: the
-    /// link fill and shadowing sample delegate to the same shared
-    /// helpers, and the caller-owned `memo` cannot change sampled values
-    /// (it only skips recomputing a pure function of the time delta).
-    ///
-    /// # Safety
-    ///
-    /// * No two concurrent `fill` calls (on any copy of this view) may
-    ///   overlap in `slots`, and the `Medium` must not be used while any
-    ///   call is live.
-    /// * `out` must point to a writable region with room for
-    ///   `job.end_slot - job.start_slot` elements (spare capacity is
-    ///   fine; elements need not be initialized).
-    /// * `slots` must lie within `job.start_slot..job.end_slot`.
-    pub unsafe fn fill(
-        &self,
-        job: &ScatterJob,
-        slots: std::ops::Range<usize>,
-        out: *mut (NodeId, TxSignal),
-        memo: &mut Ar1Memo,
-    ) {
-        debug_assert!(job.start_slot <= slots.start && slots.end <= job.end_slot);
-        for slot in slots {
-            let rx = self.audible[slot];
-            // SAFETY: the disjoint-range contract gives us exclusive
-            // access to this slot's cache entry and shadowing state.
-            let cell = unsafe { &mut *self.slot_links.add(slot) };
-            let (d, pl) = fill_slot_link(cell, self.positions, &self.path_loss, job.source, rx);
-            let excess = unsafe {
-                self.shadow
-                    .sample_slot(slot, job.source, rx, d, job.now, memo)
-            };
-            let delivery = (
-                rx,
-                TxSignal {
-                    tx_id: job.tx_id,
-                    source: job.source,
-                    rx_power: job.tx_power - pl - excess,
-                    rate: job.rate,
-                    mpdu_bytes: job.mpdu_bytes,
-                    preamble: job.preamble,
-                    starts_at: job.starts_at,
-                    ends_at: job.ends_at,
-                },
-            );
-            // SAFETY: in-bounds by the caller's `out` capacity contract.
-            unsafe { out.add(slot - job.start_slot).write(delivery) };
         }
     }
 }
@@ -835,14 +690,18 @@ impl Medium {
     /// bitwise link-cache test).
     #[inline]
     fn slot_link(&mut self, slot: usize, tx: NodeId) -> (Meters, Db) {
-        let rx = self.audible[slot];
-        fill_slot_link(
-            &mut self.slot_links[slot],
-            &self.positions,
-            &self.config.path_loss,
-            tx,
-            rx,
-        )
+        let (d, pl) = self.slot_links[slot];
+        if !pl.0.is_nan() {
+            return (d, pl);
+        }
+        let d = if d.0.is_nan() {
+            self.positions[tx.index()].distance_to(self.positions[self.audible[slot].index()])
+        } else {
+            d
+        };
+        let pl = self.config.path_loss.path_loss(d);
+        self.slot_links[slot] = (d, pl);
+        (d, pl)
     }
 
     /// The (distance, path loss) of the directed link `tx → rx`: read
@@ -962,14 +821,7 @@ impl Medium {
                 if *sum == f64::INFINITY {
                     continue;
                 }
-                let mut cell = self.slot_links[slot];
-                let (_, pl) = fill_slot_link(
-                    &mut cell,
-                    &self.positions,
-                    &self.config.path_loss,
-                    NodeId(tx as u32),
-                    rx,
-                );
+                let (_, pl) = self.link(NodeId(tx as u32), rx);
                 let best = tx_power - pl - min_excess;
                 *sum = if best.0 >= cs_threshold.0 {
                     f64::INFINITY
@@ -1096,100 +948,6 @@ impl Medium {
             ));
         }
         (tx_id, airtime)
-    }
-
-    /// Opens a transmission for parallel scatter: allocates the
-    /// transmission id and computes the frame timing exactly as
-    /// [`Medium::transmit_into`] does, but defers the per-receiver loop
-    /// to [`ScatterView::fill`] workers. The job covers CSR slots
-    /// `start_slot..end_slot`; the caller partitions that range across
-    /// workers and commits the results in slot order.
-    #[allow(clippy::too_many_arguments)] // mirrors transmit_into on purpose
-    pub fn begin_scatter(
-        &mut self,
-        source: NodeId,
-        tx_power: Dbm,
-        rate: PhyRate,
-        mpdu_bytes: u32,
-        preamble: Preamble,
-        now: SimTime,
-    ) -> (ScatterJob, FrameAirtime) {
-        #[cfg(debug_assertions)]
-        if let CullPolicy::Audible {
-            tx_power: bound, ..
-        } = self.config.cull
-        {
-            debug_assert!(
-                tx_power.0 <= bound.0,
-                "transmit at {tx_power:?} exceeds the audible-set TX power bound {bound:?}"
-            );
-        }
-        let tx_id = TxId(self.next_tx);
-        self.next_tx += 1;
-        let airtime = FrameAirtime::new(mpdu_bytes, rate, preamble);
-        let starts_at = now + self.config.propagation_delay;
-        let ends_at = starts_at + airtime.total();
-        let (start_slot, end_slot) = self.slice_bounds(source.index());
-        (
-            ScatterJob {
-                tx_id,
-                source,
-                start_slot,
-                end_slot,
-                tx_power,
-                rate,
-                mpdu_bytes,
-                preamble,
-                now,
-                starts_at,
-                ends_at,
-            },
-            airtime,
-        )
-    }
-
-    /// A `Send + Sync` view for parallel [`ScatterView::fill`] calls.
-    /// Takes `&mut self` so no other medium access can overlap the
-    /// borrow; disjointness of the concurrent slot ranges is the
-    /// caller's contract.
-    pub fn scatter_view(&mut self) -> ScatterView<'_> {
-        ScatterView {
-            audible: &self.audible,
-            slot_links: self.slot_links.as_mut_ptr(),
-            positions: &self.positions,
-            path_loss: self.config.path_loss,
-            shadow: self.shadowing.view(),
-        }
-    }
-
-    /// Classifies every kept (CSR) link under the station partition
-    /// `shard_of` (one shard index per station) and reports the
-    /// conservative lookahead horizon of the frontier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_of.len()` differs from the station count.
-    pub fn frontier_links(&self, shard_of: &[u32]) -> FrontierReport {
-        assert_eq!(
-            shard_of.len(),
-            self.positions.len(),
-            "one shard index per station"
-        );
-        let mut cross_links = 0usize;
-        for tx in 0..self.positions.len() {
-            let (start, end) = self.slice_bounds(tx);
-            let home = shard_of[tx];
-            for rx in &self.audible[start..end] {
-                if shard_of[rx.index()] != home {
-                    cross_links += 1;
-                }
-            }
-        }
-        FrontierReport {
-            total_links: self.live_links,
-            cross_links,
-            horizon: self.config.propagation_delay,
-        }
     }
 
     /// All station positions, indexed by station id. Movement models
@@ -2495,96 +2253,6 @@ mod tests {
         assert_eq!(churn.audible_removed, 0);
         assert_eq!(churn.links_dirtied, 4);
         assert_eq!(churn.links_recomputed, 4);
-    }
-
-    /// The parallel scatter path must be an execution strategy, not a
-    /// physics change: `begin_scatter` + chunked `fill` calls — in
-    /// arbitrary chunk order, each chunk with its own cold memo, exactly
-    /// as racing workers would execute them — produce deliveries bitwise
-    /// identical to the serial `transmit_into` loop.
-    #[test]
-    fn chunked_scatter_fill_matches_transmit_into_bitwise() {
-        let positions: Vec<Position> = (0..40)
-            .map(|i| Position {
-                x: (i % 8) as f64 * 35.0,
-                y: (i / 8) as f64 * 35.0,
-            })
-            .collect();
-        let mut serial = medium(positions.clone(), false);
-        let mut parallel = medium(positions, false);
-        let mut expect = Vec::new();
-        for frame in 0..12u64 {
-            let now = SimTime::from_micros(frame * 400);
-            let src = NodeId((frame % 5 * 7) as u32 % 40);
-            expect.clear();
-            let (id_s, air_s) = serial.transmit_into(
-                src,
-                Dbm(15.0),
-                PhyRate::R11,
-                534,
-                Preamble::Long,
-                now,
-                &mut expect,
-            );
-            let (job, air_p) =
-                parallel.begin_scatter(src, Dbm(15.0), PhyRate::R11, 534, Preamble::Long, now);
-            assert_eq!(id_s, job.tx_id);
-            assert_eq!(air_s.total(), air_p.total());
-            let n = job.end_slot - job.start_slot;
-            assert_eq!(n, expect.len());
-            let mut out: Vec<(NodeId, TxSignal)> = Vec::with_capacity(n);
-            {
-                let view = parallel.scatter_view();
-                let base = out.spare_capacity_mut().as_mut_ptr() as *mut (NodeId, TxSignal);
-                // Walk chunks in a scrambled order with a cold memo per
-                // chunk, like independent workers would.
-                let chunk = 7usize;
-                let chunks: Vec<usize> = (0..n.div_ceil(chunk)).collect();
-                for &c in chunks.iter().rev() {
-                    let lo = job.start_slot + c * chunk;
-                    let hi = (lo + chunk).min(job.end_slot);
-                    let mut memo = Ar1Memo::new();
-                    // SAFETY: chunks are disjoint; `out` has capacity n.
-                    unsafe { view.fill(&job, lo..hi, base, &mut memo) };
-                }
-            }
-            // SAFETY: every one of the n slots was written exactly once.
-            unsafe { out.set_len(n) };
-            for (i, ((rx_s, sig_s), (rx_p, sig_p))) in expect.iter().zip(&out).enumerate() {
-                assert_eq!(rx_s, rx_p, "frame {frame} delivery {i}");
-                assert_eq!(
-                    sig_s.rx_power.0.to_bits(),
-                    sig_p.rx_power.0.to_bits(),
-                    "frame {frame} delivery {i} power"
-                );
-                assert_eq!(sig_s.tx_id, sig_p.tx_id);
-                assert_eq!(sig_s.starts_at, sig_p.starts_at);
-                assert_eq!(sig_s.ends_at, sig_p.ends_at);
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_links_classify_the_partition() {
-        // Two tight clusters, mutually audible: splitting along the
-        // cluster boundary leaves exactly the inter-cluster links on the
-        // frontier.
-        let positions = vec![
-            Position::on_line(0.0),
-            Position::on_line(10.0),
-            Position::on_line(60.0),
-            Position::on_line(70.0),
-        ];
-        let m = medium(positions, true);
-        let all_links = 4 * 3;
-        let everyone_one_shard = m.frontier_links(&[0, 0, 0, 0]);
-        assert_eq!(everyone_one_shard.total_links, all_links);
-        assert_eq!(everyone_one_shard.cross_links, 0);
-        assert_eq!(everyone_one_shard.horizon, SimDuration::from_micros(1));
-        let split = m.frontier_links(&[0, 0, 1, 1]);
-        assert_eq!(split.cross_links, 8, "2×2 directed pairs × 2 directions");
-        let shattered = m.frontier_links(&[0, 1, 2, 3]);
-        assert_eq!(shattered.cross_links, all_links);
     }
 
     /// Skipping a receiver draws nothing from any other link: the other

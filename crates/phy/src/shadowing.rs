@@ -22,7 +22,6 @@
 
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use desim::{SimDuration, SimRng, SimTime};
 
@@ -167,16 +166,19 @@ const _: () = assert!(!std::mem::needs_drop::<LinkEntry>());
 /// live [`LinkEntry`].
 struct SlotStore {
     cells: Box<[MaybeUninit<LinkEntry>]>,
-    /// Atomic so parallel scatter workers sampling disjoint slots can
-    /// set bits that share a word; serial callers hold `&mut` anyway.
-    init: Box<[AtomicU64]>,
+    init: Box<[u64]>,
 }
 
+// The crate denies `unsafe_code`; this impl is the one exception. Reading
+// an uninitialised cell needs `unsafe`, and `Option` cells would make
+// sizing the store write every cell — on a 4096-station field that is the
+// difference between ~23 and ~72 MiB peak RSS.
+#[allow(unsafe_code)]
 impl SlotStore {
     fn with_len(n: usize) -> SlotStore {
         SlotStore {
             cells: Box::new_uninit_slice(n),
-            init: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            init: vec![0; n.div_ceil(64)].into_boxed_slice(),
         }
     }
 
@@ -186,21 +188,18 @@ impl SlotStore {
 
     fn is_init(&self, slot: usize) -> bool {
         assert!(slot < self.len(), "slot {slot} out of range {}", self.len());
-        self.init[slot / 64].load(Ordering::Relaxed) & (1 << (slot % 64)) != 0
+        self.init[slot / 64] & (1 << (slot % 64)) != 0
     }
 
     fn initialised(&self) -> usize {
-        self.init
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
+        self.init.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     fn take(&mut self, slot: usize) -> SlotEntry {
         if !self.is_init(slot) {
             return None;
         }
-        *self.init[slot / 64].get_mut() &= !(1 << (slot % 64));
+        self.init[slot / 64] &= !(1 << (slot % 64));
         // SAFETY: the init bit was set, so the cell holds a live entry;
         // clearing the bit first means it is read out exactly once.
         Some(unsafe { self.cells[slot].assume_init_read() })
@@ -211,18 +210,22 @@ impl SlotStore {
         match entry {
             Some(e) => {
                 self.cells[slot].write(e);
-                *self.init[slot / 64].get_mut() |= bit;
+                self.init[slot / 64] |= bit;
             }
-            None => *self.init[slot / 64].get_mut() &= !bit,
+            None => self.init[slot / 64] &= !bit,
         }
     }
 
-    fn raw(&mut self) -> RawSlots<'_> {
-        RawSlots {
-            cells: self.cells.as_mut_ptr(),
-            init: &self.init,
-            len: self.cells.len(),
+    /// The entry of `slot`, initialised with `init()` on first access.
+    fn get_or_init(&mut self, slot: usize, init: impl FnOnce() -> LinkEntry) -> &mut LinkEntry {
+        let cell = &mut self.cells[slot];
+        let (word, bit) = (&mut self.init[slot / 64], 1u64 << (slot % 64));
+        if *word & bit == 0 {
+            cell.write(init());
+            *word |= bit;
         }
+        // SAFETY: the bit is set, so the cell holds a live entry.
+        unsafe { cell.assume_init_mut() }
     }
 }
 
@@ -232,53 +235,6 @@ impl std::fmt::Debug for SlotStore {
             .field("len", &self.len())
             .field("initialised", &self.initialised())
             .finish()
-    }
-}
-
-/// Shared-pointer access to a [`SlotStore`]: what both the serial
-/// [`Shadowing::sample_slot`] and the parallel [`ShadowView`] sample
-/// through, so first-sample initialisation has one implementation.
-#[derive(Clone, Copy)]
-struct RawSlots<'a> {
-    cells: *mut MaybeUninit<LinkEntry>,
-    init: &'a [AtomicU64],
-    len: usize,
-}
-
-impl std::fmt::Debug for RawSlots<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RawSlots").field("len", &self.len).finish()
-    }
-}
-
-impl<'a> RawSlots<'a> {
-    /// The entry of `slot`, initialised with `init()` on first access.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have exclusive access to `slot` for `'a`: no
-    /// other live reference to its cell, and no concurrent call with the
-    /// same `slot`. Concurrent calls on *other* slots are fine — they may
-    /// share an init word, which is why the bits are atomic. Relaxed
-    /// ordering suffices because no bit publishes data to another thread:
-    /// within one parallel scatter a slot's bit and cell are touched only
-    /// by that slot's owner, and the fork-join barrier that ends the
-    /// scatter orders them before any later access from another thread.
-    unsafe fn get_or_init(
-        self,
-        slot: usize,
-        init: impl FnOnce() -> LinkEntry,
-    ) -> &'a mut LinkEntry {
-        assert!(slot < self.len, "slot {slot} out of range {}", self.len);
-        let (word, bit) = (&self.init[slot / 64], 1u64 << (slot % 64));
-        // SAFETY: in bounds (checked above); exclusive by the contract.
-        let cell = unsafe { &mut *self.cells.add(slot) };
-        if word.load(Ordering::Relaxed) & bit == 0 {
-            cell.write(init());
-            word.fetch_or(bit, Ordering::Relaxed);
-        }
-        // SAFETY: the bit is set, so the cell holds a live entry.
-        unsafe { cell.assume_init_mut() }
     }
 }
 
@@ -345,127 +301,6 @@ fn advance_and_read(
     Db(extra_loss + deviation)
 }
 
-/// A caller-owned AR(1) coefficient memo: `(dt_bits, ρ, √(1-ρ²))`.
-///
-/// [`Shadowing`] keeps one of these internally for the serial scatter
-/// path (every audible link of one transmitter advances with the same
-/// `dt`, so one `exp`+`sqrt` pair serves the whole slice). Parallel
-/// scatter workers each own one instead — the memo only short-circuits
-/// *recomputation* of a pure function of `dt`, so per-worker memos
-/// produce bit-identical samples to the shared one.
-#[derive(Debug, Default, Clone)]
-pub struct Ar1Memo(Option<(u64, f64, f64)>);
-
-impl Ar1Memo {
-    /// An empty memo (first use pays the `exp`+`sqrt`).
-    pub fn new() -> Ar1Memo {
-        Ar1Memo(None)
-    }
-}
-
-/// Samples the slot-stored link `tx → rx` at `now`: the one shadowing
-/// process shared — deliberately, as the single source of truth — by
-/// [`Shadowing::sample_slot`] (serial, `&mut self`) and
-/// [`ShadowView::sample_slot`] (parallel, disjoint raw slots), so the
-/// two paths cannot drift. All profile scalars arrive precomputed.
-#[allow(clippy::too_many_arguments)] // flat on purpose: the hot per-receiver call
-#[inline]
-///
-/// # Safety
-///
-/// Exclusive access to `slot` of `slots`, as [`RawSlots::get_or_init`]
-/// requires.
-unsafe fn sample_slot_entry(
-    slots: RawSlots<'_>,
-    slot: usize,
-    master: &SimRng,
-    tx: NodeId,
-    rx: NodeId,
-    distance: Meters,
-    now: SimTime,
-    extra_loss: f64,
-    sigma_slow: f64,
-    sigma_fast: f64,
-    sigma_full_distance: f64,
-    tau: f64,
-    memo: &mut Ar1Memo,
-) -> Db {
-    let scale = (distance.0 / sigma_full_distance.max(1e-9)).clamp(0.0, 1.0);
-    let slow = sigma_slow * scale;
-    let fast = sigma_fast * scale;
-    if slow == 0.0 && fast == 0.0 {
-        return Db(extra_loss);
-    }
-    // SAFETY: forwarded from this function's contract.
-    let (state, rng) =
-        unsafe { slots.get_or_init(slot, || init_link_state(master, tx, rx, slow, fast, now)) };
-    advance_and_read(state, rng, extra_loss, fast, tau, now, &mut memo.0)
-}
-
-/// A `Send + Sync` window onto a [`Shadowing`]'s dense slot store for
-/// parallel scatter: raw slot access plus copies of the profile scalars.
-///
-/// Obtained via [`Shadowing::view`]; the lifetime pins the owning
-/// process, but disjointness of concurrent slot access is the caller's
-/// obligation (see [`ShadowView::sample_slot`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ShadowView<'a> {
-    slots: RawSlots<'a>,
-    master: &'a SimRng,
-    extra_loss: f64,
-    sigma_slow: f64,
-    sigma_fast: f64,
-    sigma_full_distance: f64,
-    tau: f64,
-}
-
-// SAFETY: the raw slot pointer is only dereferenced inside
-// `sample_slot`, whose contract requires disjoint slots across
-// concurrent callers; the init bits are atomics and everything else is
-// shared-read scalars.
-unsafe impl Send for ShadowView<'_> {}
-unsafe impl Sync for ShadowView<'_> {}
-
-impl ShadowView<'_> {
-    /// Same process as [`Shadowing::sample_slot`] — both delegate to one
-    /// shared helper — with the link state read through the raw slot
-    /// pointer and the AR(1) memo owned by the caller.
-    ///
-    /// # Safety
-    ///
-    /// No two concurrent calls (on any clone of this view) may pass the
-    /// same `slot`, and the `Shadowing` this view was created from must
-    /// not be used while any call is live.
-    pub unsafe fn sample_slot(
-        &self,
-        slot: usize,
-        tx: NodeId,
-        rx: NodeId,
-        distance: Meters,
-        now: SimTime,
-        memo: &mut Ar1Memo,
-    ) -> Db {
-        // SAFETY: the caller guarantees exclusive access to `slot`.
-        unsafe {
-            sample_slot_entry(
-                self.slots,
-                slot,
-                self.master,
-                tx,
-                rx,
-                distance,
-                now,
-                self.extra_loss,
-                self.sigma_slow,
-                self.sigma_fast,
-                self.sigma_full_distance,
-                self.tau,
-                memo,
-            )
-        }
-    }
-}
-
 /// The per-link shadowing process for one simulation run.
 ///
 /// Link state lives in one of two stores, and each directed link uses
@@ -482,7 +317,10 @@ pub struct Shadowing {
     master: SimRng,
     links: HashMap<(NodeId, NodeId), (LinkState, SimRng)>,
     slots: SlotStore,
-    ar1_memo: Ar1Memo,
+    /// AR(1) coefficient memo `(dt_bits, ρ, √(1-ρ²))`: every audible
+    /// link of one transmitter advances with the same `dt`, so one
+    /// `exp`+`sqrt` pair serves the whole scatter slice.
+    ar1_memo: Option<(u64, f64, f64)>,
 }
 
 impl Shadowing {
@@ -495,7 +333,7 @@ impl Shadowing {
             master,
             links: HashMap::new(),
             slots: SlotStore::with_len(0),
-            ar1_memo: Ar1Memo::new(),
+            ar1_memo: None,
         }
     }
 
@@ -515,6 +353,17 @@ impl Shadowing {
         self.remap_slots(n, &keep);
     }
 
+    /// The slow and fast sigmas (dB) of a link `distance` long: the
+    /// profile's, ramped up linearly to full strength at
+    /// [`DayProfile::sigma_full_distance`].
+    fn sigmas(&self, distance: Meters) -> (f64, f64) {
+        let scale = (distance.0 / self.profile.sigma_full_distance.0.max(1e-9)).clamp(0.0, 1.0);
+        (
+            self.profile.sigma_slow.0 * scale,
+            self.profile.sigma_fast.0 * scale,
+        )
+    }
+
     /// Samples the total excess loss (weather offset + shadowing) on the
     /// directed link `tx → rx` of length `distance` at time `now`.
     ///
@@ -526,9 +375,7 @@ impl Shadowing {
     /// This is the HashMap-backed path for pairs without a CSR slot; a
     /// slotted link must go through [`Shadowing::sample_slot`] instead.
     pub fn sample(&mut self, tx: NodeId, rx: NodeId, distance: Meters, now: SimTime) -> Db {
-        let scale = (distance.0 / self.profile.sigma_full_distance.0.max(1e-9)).clamp(0.0, 1.0);
-        let slow = self.profile.sigma_slow.0 * scale;
-        let fast = self.profile.sigma_fast.0 * scale;
+        let (slow, fast) = self.sigmas(distance);
         if slow == 0.0 && fast == 0.0 {
             return self.profile.extra_loss;
         }
@@ -544,7 +391,7 @@ impl Shadowing {
             fast,
             tau,
             now,
-            &mut self.ar1_memo.0,
+            &mut self.ar1_memo,
         )
     }
 
@@ -561,25 +408,24 @@ impl Shadowing {
         distance: Meters,
         now: SimTime,
     ) -> Db {
-        let tau = self.profile.coherence.as_secs_f64().max(1e-9);
-        // SAFETY: `&mut self` makes this the only access to any slot.
-        unsafe {
-            sample_slot_entry(
-                self.slots.raw(),
-                slot,
-                &self.master,
-                tx,
-                rx,
-                distance,
-                now,
-                self.profile.extra_loss.0,
-                self.profile.sigma_slow.0,
-                self.profile.sigma_fast.0,
-                self.profile.sigma_full_distance.0,
-                tau,
-                &mut self.ar1_memo,
-            )
+        let (slow, fast) = self.sigmas(distance);
+        if slow == 0.0 && fast == 0.0 {
+            return self.profile.extra_loss;
         }
+        let tau = self.profile.coherence.as_secs_f64().max(1e-9);
+        let master = &self.master;
+        let (state, rng) = self
+            .slots
+            .get_or_init(slot, || init_link_state(master, tx, rx, slow, fast, now));
+        advance_and_read(
+            state,
+            rng,
+            self.profile.extra_loss.0,
+            fast,
+            tau,
+            now,
+            &mut self.ar1_memo,
+        )
     }
 
     // ---- epoch-commit support (crate-internal) ----------------------
@@ -660,23 +506,7 @@ impl Shadowing {
             master: self.master.clone(),
             links: HashMap::new(),
             slots: SlotStore::with_len(0),
-            ar1_memo: Ar1Memo::new(),
-        }
-    }
-
-    /// A `Send + Sync` view over the dense slot store for parallel
-    /// scatter. Takes `&mut self` so no other access can overlap the
-    /// borrow; disjointness *between* the view's concurrent users is
-    /// their contract (see [`ShadowView::sample_slot`]).
-    pub fn view(&mut self) -> ShadowView<'_> {
-        ShadowView {
-            slots: self.slots.raw(),
-            master: &self.master,
-            extra_loss: self.profile.extra_loss.0,
-            sigma_slow: self.profile.sigma_slow.0,
-            sigma_fast: self.profile.sigma_fast.0,
-            sigma_full_distance: self.profile.sigma_full_distance.0,
-            tau: self.profile.coherence.as_secs_f64().max(1e-9),
+            ar1_memo: None,
         }
     }
 }
@@ -797,103 +627,6 @@ mod tests {
                 .0
                 .to_bits()
         );
-    }
-
-    /// The parallel view must realize the exact same per-link process as
-    /// the serial slot path — including when every call uses a fresh,
-    /// cold [`Ar1Memo`] (the memo only skips recomputing a pure function
-    /// of `dt`, so cold and warm memos yield identical bits).
-    #[test]
-    fn view_path_is_bitwise_identical_to_serial_slots() {
-        let mut serial = process(DayProfile::clear(), 42);
-        let mut viewed = process(DayProfile::clear(), 42);
-        serial.reserve_slots(6);
-        viewed.reserve_slots(6);
-        for k in 0..60u64 {
-            let t = SimTime::from_millis(k * k % 89 + k * 5);
-            let (slot, tx, rx) = match k % 3 {
-                0 => (0, NodeId(3), NodeId(9)),
-                1 => (4, NodeId(9), NodeId(3)),
-                _ => (5, NodeId(7), NodeId(2)),
-            };
-            let d = Meters(40.0 + (k % 4) as f64 * 30.0);
-            let want = serial.sample_slot(slot, tx, rx, d, t);
-            let view = viewed.view();
-            let mut memo = Ar1Memo::new();
-            // SAFETY: single-threaded; no overlapping slot access.
-            let got = unsafe { view.sample_slot(slot, tx, rx, d, t, &mut memo) };
-            assert_eq!(want.0.to_bits(), got.0.to_bits(), "slot {slot} at {t:?}");
-        }
-        for slot in 0..6 {
-            assert_eq!(
-                serial.slot_is_init(slot),
-                viewed.slot_is_init(slot),
-                "slot {slot}"
-            );
-        }
-        assert_eq!(viewed.initialised_slots(), 3);
-    }
-
-    /// Concurrent view users on interleaved slots share init-bitset
-    /// words; every first sample must still land its bit, and every
-    /// sample must match the serial path bit for bit.
-    #[test]
-    fn concurrent_view_workers_match_serial_slots_bitwise() {
-        const SLOTS: usize = 200;
-        let mut serial = process(DayProfile::clear(), 42);
-        let mut viewed = process(DayProfile::clear(), 42);
-        serial.reserve_slots(SLOTS);
-        viewed.reserve_slots(SLOTS);
-        let link = |slot: usize| (NodeId(slot as u32), NodeId(slot as u32 + 1000));
-        for round in 0..3u64 {
-            let t = SimTime::from_millis(round * 37 + 1);
-            let want: Vec<u64> = (0..SLOTS)
-                .map(|slot| {
-                    let (tx, rx) = link(slot);
-                    serial
-                        .sample_slot(slot, tx, rx, Meters(120.0), t)
-                        .0
-                        .to_bits()
-                })
-                .collect();
-            let view = viewed.view();
-            let start = std::sync::Barrier::new(2);
-            let lanes: Vec<Vec<(usize, u64)>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..2)
-                    .map(|w| {
-                        let start = &start;
-                        scope.spawn(move || {
-                            let mut memo = Ar1Memo::new();
-                            // Both workers sample at once, so their bits
-                            // land in shared words concurrently.
-                            start.wait();
-                            (w..SLOTS)
-                                .step_by(2)
-                                .map(|slot| {
-                                    let (tx, rx) = link(slot);
-                                    // SAFETY: the two workers take even
-                                    // and odd slots — never the same one.
-                                    let v = unsafe {
-                                        view.sample_slot(slot, tx, rx, Meters(120.0), t, &mut memo)
-                                    };
-                                    (slot, v.0.to_bits())
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|h| h.join().expect("worker"))
-                    .collect()
-            });
-            let mut got = vec![0u64; SLOTS];
-            for (slot, bits) in lanes.into_iter().flatten() {
-                got[slot] = bits;
-            }
-            assert_eq!(want, got, "round {round}");
-            assert_eq!(viewed.initialised_slots(), SLOTS);
-        }
     }
 
     #[test]

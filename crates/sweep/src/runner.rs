@@ -119,17 +119,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> std::io::Result<Sweep
     }
     let cached = cells.len() - pending.len();
 
-    // Phase 2: fan the pending cells out across workers. When each cell
-    // itself runs sharded (`params.threads > 1`), the two levels
-    // multiply — clamp jobs so jobs × threads never oversubscribes the
-    // machine (per-cell threads win the budget contest: a sharded sweep
-    // is asking for fewer, faster runs).
-    let mut jobs = opts.jobs.max(1).min(pending.len().max(1));
-    let cell_threads = spec.params.threads.max(1);
-    if cell_threads > 1 {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        jobs = jobs.min((cores / cell_threads).max(1));
-    }
+    // Phase 2: fan the pending cells out across workers.
+    let jobs = opts.jobs.max(1).min(pending.len().max(1));
     let progress = opts.progress.as_deref();
     if let Some(p) = progress {
         p.sweep_start(cells.len(), cached, pending.len(), jobs);

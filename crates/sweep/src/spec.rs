@@ -334,7 +334,6 @@ impl SweepScenario {
                     seed,
                     duration: params.duration,
                     warmup: params.warmup,
-                    threads: params.threads,
                 };
                 four_station::scenario(cfg, rate, layout, transport, scheme)
             }
@@ -460,7 +459,6 @@ impl SweepScenario {
                     seed,
                     duration: params.duration,
                     warmup: params.warmup,
-                    threads: params.threads,
                 };
                 hidden::hidden_triple(cfg, rate, scheme, payload_bytes)
             }
@@ -642,17 +640,15 @@ pub struct RunParams {
     pub duration: SimDuration,
     /// Warm-up excluded from throughput windows.
     pub warmup: SimDuration,
-    /// Worker threads per cell run (sharded executor above 1; see
-    /// `World::run_sharded`). Execution-only — a cell's report is
-    /// byte-identical at any thread count, so this field is deliberately
-    /// **excluded from the cell key**: cached results stay valid across
-    /// thread budgets.
+    /// Unused: every run executes on its caller's thread. Kept only so
+    /// existing `RunParams { .. }` literals still compile; nothing reads
+    /// it, and it is **not part of the cell key**.
     pub threads: usize,
 }
 
 impl RunParams {
     /// The `repro` binary's full-fidelity settings: 20 s sessions, 2 s
-    /// warm-up (matches [`ExpConfig::full`]), serial execution.
+    /// warm-up (matches [`ExpConfig::full`]).
     pub fn full() -> RunParams {
         let c = ExpConfig::full();
         RunParams {
@@ -672,14 +668,8 @@ impl RunParams {
         }
     }
 
-    /// This parameter set with the given per-run worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> RunParams {
-        self.threads = threads.max(1);
-        self
-    }
-
     fn encode(&self, h: &mut StableHasher) {
-        // `threads` intentionally absent: it cannot change the result.
+        // `threads` intentionally absent: nothing reads it.
         h.write_u64(self.duration.as_nanos());
         h.write_u64(self.warmup.as_nanos());
     }
@@ -741,7 +731,6 @@ impl CellSpec {
         self.scenario
             .build(self.params, self.seed)
             .tune_mac(|mac| self.mac.apply(mac))
-            .with_threads(self.params.threads)
     }
 }
 

@@ -26,6 +26,7 @@
 //! emit into it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod jsonl;
 mod metrics;

@@ -18,7 +18,6 @@ fn main() {
         seed: 3,
         duration: SimDuration::from_secs(8),
         warmup: SimDuration::from_secs(1),
-        threads: 1,
     };
     println!("ARF (starting at 2 Mb/s) vs the best fixed rate, saturated UDP:\n");
     println!(

@@ -20,7 +20,6 @@ fn main() {
         seed: 3,
         duration: SimDuration::from_secs(10),
         warmup: SimDuration::from_secs(1),
-        threads: 1,
     };
     for (rate, spacing) in [(PhyRate::R2, 80.0), (PhyRate::R11, 25.0)] {
         println!("\nChain at {rate}, {spacing:.0} m per hop (still channel):");

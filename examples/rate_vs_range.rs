@@ -20,7 +20,6 @@ fn main() {
         seed: 3,
         duration: SimDuration::from_secs(8),
         warmup: SimDuration::ZERO,
-        threads: 1,
     };
 
     println!("Datagram loss vs distance (512-byte CBR probes, clear day):\n");

@@ -11,8 +11,6 @@
 //!   (`1s`, `500ms`, `250us`; default `1s`).
 //! * `--trace <path>` — write a JSONL event trace of the Figure 7
 //!   UDP/basic-access cell (one JSON object per MAC/PHY/TCP event).
-//! * `--threads N` — worker threads per simulation run (sharded
-//!   executor; results are byte-identical to serial).
 //! * `--mobility waypoint:speed=S[,epoch=E]` or
 //!   `--mobility trace:file=PATH[,epoch=E]` — set the four-station
 //!   figures' stations in motion (random waypoint at `S` m/s, or
@@ -32,10 +30,8 @@
 //!   four; each contributes 4 cells: UDP/TCP × basic/RTS).
 //! * `--seeds A..B` or `--seeds N` (= `1..N`) — seed range, inclusive
 //!   (default `1..8`).
-//! * `--jobs N` — sweep worker threads (default: all cores).
-//! * `--threads N` — worker threads *inside* each run (sharded
-//!   executor; default 1). The runner clamps jobs × threads to the
-//!   machine's parallelism.
+//! * `--jobs N` — sweep worker threads (default: all cores). Each
+//!   cell runs on one thread; cells run in parallel.
 //! * `--cache-dir <dir>` — content-addressed run cache: finished cells
 //!   are never recomputed, a fully warm re-run simulates zero worlds.
 //! * `--json <path>` — write the full machine-readable `SweepReport`.
@@ -62,7 +58,6 @@ struct Opts {
     trace: Option<String>,
     json: Option<String>,
     metrics: SimDuration,
-    threads: usize,
     /// `--mobility` raw spec + parsed config: sets the four-station
     /// figures' stations in motion (off by default, so the static
     /// outputs stay byte-identical).
@@ -75,23 +70,12 @@ fn parse_args() -> Opts {
         trace: None,
         json: None,
         metrics: SimDuration::from_secs(1),
-        threads: 1,
         mobility: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--threads" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage("--threads needs a count"));
-                opts.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage(&format!("bad thread count {v:?}")));
-            }
             "--trace" => {
                 opts.trace = Some(args.next().unwrap_or_else(|| usage("--trace needs a path")))
             }
@@ -121,7 +105,7 @@ fn parse_args() -> Opts {
 fn usage(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     eprintln!(
-        "usage: repro [--quick] [--threads N] [--json <path>] [--metrics <interval>] \
+        "usage: repro [--quick] [--json <path>] [--metrics <interval>] \
          [--trace <path>] [--mobility waypoint:speed=S[,epoch=E] | trace:file=PATH[,epoch=E]]"
     );
     std::process::exit(2);
@@ -229,8 +213,7 @@ fn main() {
         ExpConfig::quick()
     } else {
         ExpConfig::full()
-    }
-    .with_threads(opts.threads);
+    };
     println!("Reproduction of: IEEE 802.11 Ad Hoc Networks: Performance Measurements");
     println!("(Anastasi, Borgia, Conti, Gregori — ICDCS-W 2003)");
     println!(
@@ -304,7 +287,7 @@ fn sweep_usage(msg: &str) -> ! {
         "usage: repro sweep \
          [--scenarios fig7,fig9,fig11,fig12,chain16,chain64,grid16,disk20,disk4096,hidden3,\
 mobile-disk64[-slow|-fast]] \
-         [--mac-grid key=v1,v2,...] [--seeds A..B|N] [--jobs N] [--threads N] \
+         [--mac-grid key=v1,v2,...] [--seeds A..B|N] [--jobs N] \
          [--cache-dir <dir>] [--json <path>] [--progress <path|->] [--quick] \
          [--duration <interval>] [--warmup <interval>]"
     );
@@ -468,7 +451,6 @@ fn parse_sweep_args(args: Vec<String>) -> SweepArgs {
     let mut duration = None;
     let mut warmup = None;
     let mut quick = false;
-    let mut threads = 1usize;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -527,16 +509,6 @@ fn parse_sweep_args(args: Vec<String>) -> SweepArgs {
                         sweep_usage("--progress needs a path (or - for stderr)")
                     }));
             }
-            "--threads" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| sweep_usage("--threads needs a count"));
-                threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| sweep_usage(&format!("bad thread count {v:?}")));
-            }
             "--quick" => quick = true,
             "--duration" => {
                 let v = args
@@ -562,9 +534,6 @@ fn parse_sweep_args(args: Vec<String>) -> SweepArgs {
     if quick {
         out.params = dot11_sweep::RunParams::quick();
     }
-    // Per-run worker threads (sharded executor). The runner clamps
-    // jobs × threads to the machine's parallelism.
-    out.params = out.params.with_threads(threads);
     if let Some(d) = duration {
         out.params.duration = d;
         // Keep the default warm-up valid for short explicit durations.

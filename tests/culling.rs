@@ -94,7 +94,6 @@ fn no_link_culled_in_any_paper_four_station_cell() {
         seed: 1,
         duration: SimDuration::from_secs(1),
         warmup: SimDuration::from_millis(100),
-        threads: 1,
     };
     let cells = [
         (PhyRate::R11, FourStationLayout::AsymmetricAt11, "fig7"),

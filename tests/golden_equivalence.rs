@@ -52,7 +52,6 @@ fn config(seed: u64) -> ExpConfig {
         seed,
         duration: SimDuration::from_secs(2),
         warmup: SimDuration::from_millis(250),
-        threads: 1,
     }
 }
 

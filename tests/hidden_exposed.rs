@@ -79,7 +79,6 @@ fn hidden_triple_collapses_without_rts_at_paper_payloads() {
         seed: 5,
         duration: SimDuration::from_secs(8),
         warmup: SimDuration::from_secs(1),
-        threads: 1,
     };
     let total = |scheme: AccessScheme, payload: u32| {
         let report = hidden::hidden_triple(cfg, PhyRate::R2, scheme, payload).run();

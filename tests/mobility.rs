@@ -182,34 +182,6 @@ fn moved_chain_incremental_matches_rebuild() {
     );
 }
 
-/// A mobile run sharded across worker threads must equal the serial
-/// schedule byte for byte — the epoch handler re-bins the spatial shard
-/// map, and that re-bin must only move prework between lanes, never
-/// change results.
-#[test]
-fn mobile_disk_is_thread_invariant() {
-    let mk = |threads: usize| {
-        ScenarioBuilder::new(PhyRate::R2)
-            .random_disk(48, 3_000.0, 7)
-            .seed(11)
-            .duration(SimDuration::from_millis(600))
-            .warmup(SimDuration::from_millis(100))
-            .flow(0, 1, SATURATED)
-            .flow(2, 3, SATURATED)
-            .mobility(MobilityConfig::waypoint(40.0).with_epoch(SimDuration::from_millis(100)))
-            .threads(threads)
-            .build()
-    };
-    let serial = report_json(&mk(1).run());
-    for threads in [2, 8] {
-        assert_eq!(
-            serial,
-            report_json(&mk(threads).run()),
-            "threads={threads} diverged on the mobile disk"
-        );
-    }
-}
-
 /// The churn counters are part of the deterministic contract: for a given
 /// scenario and seed they are pinned values, not statistics. (The update
 /// that breaks this either changed the movement model, the epoch

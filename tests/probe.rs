@@ -185,66 +185,3 @@ fn only_an_armed_probe_reports() {
     let armed = contended_cell().run_probed(NullSink, WallProbe::new(&PROBE_SCOPES));
     assert!(armed.engine.profile.is_some());
 }
-
-/// Sharded runs keep the profiler honest: a probed kilo-station chain on
-/// 4 workers still attributes ≥ 95% of coordinator wall time to kind
-/// scopes (workers' phase records merge into the same report, and the
-/// coordinator's kind scopes span the fork-join waits, so attribution
-/// holds structurally), and the physics stays bit-identical to the
-/// serial probed run.
-#[test]
-fn sharded_chain1024_attribution_stays_high() {
-    let _quiet = quiet();
-    let chain1024 = || {
-        ScenarioBuilder::new(PhyRate::R2)
-            .chain(1024, 80.0)
-            .seed(3)
-            .duration(SimDuration::from_millis(500))
-            .warmup(SimDuration::from_millis(100))
-            .flow(
-                0,
-                1023,
-                Traffic::SaturatedUdp {
-                    payload_bytes: 512,
-                    backlog: 10,
-                },
-            )
-            .build()
-    };
-    let serial = chain1024().run_probed(NullSink, WallProbe::new(&PROBE_SCOPES));
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let report = chain1024()
-            .into_world_probed(NullSink, WallProbe::new(&PROBE_SCOPES))
-            .run_sharded(4);
-        // Physics and engine counters: byte-identical to the serial
-        // probed run.
-        assert_eq!(report.engine.events, serial.engine.events);
-        assert_eq!(report.engine.kinds, serial.engine.kinds);
-        for (a, b) in serial.nodes.iter().zip(&report.nodes) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "node state diverged");
-        }
-        let profile = report.engine.profile.as_ref().expect("profile");
-        // Workers' phase scopes merged into the one report: the scatter
-        // phase fires on the pool in this fan-out regime, and per-scope
-        // stats stay well-formed after the merge.
-        for phase in ["phase_scatter", "phase_arrival_scan", "phase_ber_eval"] {
-            let s = profile.scope(phase).expect("phase scope exists");
-            assert!(s.count > 0, "{phase} never fired on the sharded run");
-            assert!(s.max_ns >= s.min_ns, "{phase} stats corrupted by merge");
-        }
-        let frac = report
-            .engine
-            .attributed_fraction()
-            .expect("armed probe attributes");
-        best = best.max(frac);
-        if best >= 0.95 {
-            break;
-        }
-    }
-    assert!(
-        best >= 0.95,
-        "kind scopes attribute only {:.1}% of sharded chain1024 wall time",
-        100.0 * best
-    );
-}

@@ -173,103 +173,3 @@ fn any_scenario_is_deterministic() {
         assert_eq!(a.nodes[1].phy, b.nodes[1].phy, "case {case}");
     }
 }
-
-/// Lookahead-horizon soundness on randomized disk fields: under any
-/// station partition, no cross-shard delivery can arrive before
-/// `now + horizon`, where `horizon` is what
-/// [`Medium::frontier_links`](dot11_testbed::phy::Medium) reports for
-/// the partition's frontier. This is the invariant the sharded executor
-/// leans on — a transmission committed "now" cannot influence another
-/// shard until at least one horizon later — checked here directly
-/// against the delivery schedule the medium actually produces.
-#[test]
-fn cross_shard_deliveries_respect_the_lookahead_horizon() {
-    use desim::SimTime;
-    use dot11_testbed::adhoc::ShardMap;
-    use dot11_testbed::phy::{
-        CullPolicy, DayProfile, DualSlope, LogDistance, Medium, MediumConfig, Meters, NodeId,
-        Position, Preamble, Shadowing,
-    };
-
-    let mut rng = SimRng::from_seed(0x801_1004);
-    for case in 0..10u32 {
-        let n = 16 + rng.gen_range_u32(0, 80);
-        let radius = 200.0 + rng.gen_f64() * 1800.0;
-        let shards = 2 + rng.gen_range_u32(0, 7) as usize;
-        let positions: Vec<Position> = (0..n)
-            .map(|_| {
-                let r = radius * rng.gen_f64().sqrt();
-                let theta = 2.0 * std::f64::consts::PI * rng.gen_f64();
-                Position {
-                    x: r * theta.cos(),
-                    y: r * theta.sin(),
-                }
-            })
-            .collect();
-        let day = DayProfile::clear();
-        let delay = SimDuration::from_micros(1);
-        let mut medium = Medium::new(
-            positions,
-            Shadowing::new(
-                day.clone(),
-                SimRng::from_seed(case as u64).substream(b"shadow"),
-            ),
-            MediumConfig {
-                path_loss: DualSlope {
-                    near: LogDistance::anchored_at_free_space_1m(3.0),
-                    breakpoint: Meters(500.0),
-                    far_exponent: 4.0,
-                }
-                .into(),
-                day,
-                propagation_delay: delay,
-                cull: CullPolicy::Full,
-            },
-        );
-
-        let map = ShardMap::spatial(&medium, shards);
-        let frontier = medium.frontier_links(map.assignment());
-        // Propagation delay is uniform, so the conservative horizon is
-        // exactly it — and counting is consistent with the CSR.
-        assert_eq!(frontier.horizon, delay, "case {case}");
-        assert!(frontier.cross_links <= frontier.total_links, "case {case}");
-        let csr_total: usize = (0..n).map(|i| medium.audible_count(NodeId(i))).sum();
-        assert_eq!(frontier.total_links, csr_total, "case {case}");
-        // Brute-force recount of the frontier from the audible sets.
-        let mut cross = 0usize;
-        for tx in 0..n {
-            cross += medium
-                .audible_set(NodeId(tx))
-                .iter()
-                .filter(|rx| map.shard_of(NodeId(tx)) != map.shard_of(**rx))
-                .count();
-        }
-        assert_eq!(frontier.cross_links, cross, "case {case}");
-
-        // The soundness property itself: transmit from a handful of
-        // random stations at random times and verify every cross-shard
-        // delivery in the schedule lands at or after now + horizon.
-        for _ in 0..8 {
-            let tx = NodeId(rng.gen_range_u32(0, n));
-            let now = SimTime::ZERO + SimDuration::from_nanos(rng.gen_range_u32(0, 1 << 30) as u64);
-            let (_, _, deliveries) = medium.transmit(
-                tx,
-                dot11_testbed::phy::Dbm(15.0),
-                PhyRate::R2,
-                512,
-                Preamble::Long,
-                now,
-            );
-            for (rx, sig) in deliveries.iter() {
-                if map.shard_of(tx) != map.shard_of(*rx) {
-                    assert!(
-                        sig.starts_at >= now + frontier.horizon,
-                        "case {case}: cross-shard delivery {tx:?}->{rx:?} at {} < horizon {}",
-                        sig.starts_at,
-                        now + frontier.horizon,
-                    );
-                }
-            }
-        }
-    }
-}
