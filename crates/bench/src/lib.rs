@@ -300,7 +300,7 @@ pub const GATED_METRICS: [(&str, bool); 4] = [
     ("ns_per_event", true),
     ("sim_ns_per_wall_ns", false),
     ("deliveries_per_frame", true),
-    // Incremental epoch commit over full rebuild (mobility group):
+    // Incremental epoch commit over construction (mobility group):
     // regresses *downward* — a lower multiple means the incremental
     // path stopped pulling its weight.
     ("speedup", false),

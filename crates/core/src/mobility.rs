@@ -6,9 +6,8 @@
 //! the medium's incremental epoch path
 //! ([`Medium::commit_epoch`](dot11_phy::Medium::commit_epoch)). Everything
 //! here is a pure, seeded function of the scenario — two runs of the same
-//! mobile scenario are bit-identical, and (asserted by the identity
-//! suite) indistinguishable from re-building the whole medium at every
-//! epoch.
+//! mobile scenario are bit-identical (their reports are pinned by digest
+//! in the workspace `mobility` tests).
 //!
 //! Two models, matching the mobile ad hoc literature the paper's
 //! related-work axis points at:
@@ -72,11 +71,6 @@ pub struct MobilityConfig {
     /// epoch commits (the standard discrete-epoch mobility approximation;
     /// shrink it to tighten the approximation).
     pub epoch: SimDuration,
-    /// Diagnostics/testing: commit every epoch by tearing down and
-    /// rebuilding the medium instead of the incremental path. Produces
-    /// bit-identical runs (that equivalence *is* the incremental path's
-    /// correctness proof) at O(N·degree) per epoch instead of O(moved).
-    pub rebuild_epochs: bool,
 }
 
 impl MobilityConfig {
@@ -89,7 +83,6 @@ impl MobilityConfig {
                 radius_m: None,
             },
             epoch: SimDuration::from_secs(1),
-            rebuild_epochs: false,
         }
     }
 
@@ -98,20 +91,12 @@ impl MobilityConfig {
         MobilityConfig {
             model: MovementModel::Trace { points },
             epoch: SimDuration::from_secs(1),
-            rebuild_epochs: false,
         }
     }
 
     /// Sets the epoch period.
     pub fn with_epoch(mut self, epoch: SimDuration) -> MobilityConfig {
         self.epoch = epoch;
-        self
-    }
-
-    /// Selects rebuild-per-epoch commits (see
-    /// [`MobilityConfig::rebuild_epochs`]).
-    pub fn with_rebuild_epochs(mut self, rebuild: bool) -> MobilityConfig {
-        self.rebuild_epochs = rebuild;
         self
     }
 }

@@ -136,11 +136,9 @@ impl EventKindCounts {
 ///
 /// Each counter is the sum over epochs of the matching
 /// [`EpochChurn`](dot11_phy::EpochChurn) field. The one `EpochChurn`
-/// field deliberately *not* mirrored here is `compactions`: it reports an
-/// allocation strategy of the incremental path (the rebuild reference
-/// never compacts), and the incremental-vs-rebuild identity suite asserts
-/// whole reports — including these counters — bitwise equal across the
-/// two commit modes.
+/// field deliberately *not* mirrored here is `compactions`: it reports
+/// how the medium lays out its link arrays, not how the topology
+/// changed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MobilityStats {
     /// Mobility epochs committed.

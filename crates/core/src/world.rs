@@ -253,9 +253,9 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     packet_scratch: Vec<Packet>,
     /// Dispatched events broken down by kind.
     kind_counts: EventKindCounts,
-    /// The movement model plus its epoch period and commit mode
-    /// (`Some` only on mobile scenarios).
-    mobility: Option<(MobilityEngine, SimDuration, bool)>,
+    /// The movement model plus its epoch period (`Some` only on mobile
+    /// scenarios).
+    mobility: Option<(MobilityEngine, SimDuration)>,
     /// Link churn accumulated over the run's mobility epochs.
     mobility_stats: MobilityStats,
     /// Recycled per-epoch move buffer.
@@ -425,7 +425,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         let mobility = mobility.map(|m| {
             let engine = MobilityEngine::new(&m, &positions, &master.substream(b"mobility"));
             sim.schedule_in_trailing(m.epoch, Event::TopologyUpdate);
-            (engine, m.epoch, m.rebuild_epochs)
+            (engine, m.epoch)
         });
         let n_stations = nodes.len();
         let mut world = World {
@@ -657,9 +657,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     }
 
     /// One mobility epoch: advance the movement model to `now`, commit
-    /// the moved stations to the medium (incrementally, or by full
-    /// rebuild when the scenario asked for the reference mode), and arm
-    /// the next epoch.
+    /// the moved stations to the medium, and arm the next epoch.
     ///
     /// Carrier-locked receivers are unaffected on purpose: an in-flight
     /// transmission sampled its per-receiver powers at launch (the
@@ -667,7 +665,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// mid-flight changes only *future* transmissions — which is exactly
     /// what the epoch commit invalidates.
     fn on_topology_update(&mut self, now: SimTime) {
-        let (mut engine, epoch, rebuild) = self.mobility.take().expect("mobile scenario");
+        let (mut engine, epoch) = self.mobility.take().expect("mobile scenario");
         let mut moves = std::mem::take(&mut self.move_scratch);
         moves.clear();
         engine.advance(
@@ -675,14 +673,10 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             self.medium.positions(),
             &mut moves,
         );
-        let churn = if rebuild {
-            self.medium.commit_epoch_rebuild(&moves)
-        } else {
-            self.medium.commit_epoch(&moves)
-        };
+        let churn = self.medium.commit_epoch(&moves);
         self.mobility_stats.accumulate(churn);
         self.move_scratch = moves;
-        self.mobility = Some((engine, epoch, rebuild));
+        self.mobility = Some((engine, epoch));
         self.sim.schedule_in_trailing(epoch, Event::TopologyUpdate);
     }
 

@@ -33,13 +33,14 @@ pub struct TxId(pub u64);
 /// "Audible sets & scaling", for the full soundness argument).
 pub const CULL_MARGIN_DB: f64 = 25.0;
 
-/// How [`Medium`] decides, at construction, which receivers each
-/// transmitter can possibly reach.
+/// How [`Medium`] decides which receivers each transmitter can possibly
+/// reach. [`Medium::new`] reduces it to one keep radius: every link no
+/// longer than the radius is kept, every other link is culled.
 #[derive(Debug, Clone, Copy)]
 pub enum CullPolicy {
-    /// Deliver every frame to all other stations — O(N) fan-out, the
-    /// pre-culling behaviour. Kept for A/B comparison and as the safe
-    /// default for hand-built media whose TX power is unknown.
+    /// An infinite keep radius: every frame reaches all other stations,
+    /// an O(N) fan-out. Kept for A/B comparison and as the safe default
+    /// for hand-built media whose TX power is unknown.
     Full,
     /// Deliver only to receivers whose best-case received power clears
     /// `noise_floor − margin`. Sound only if every transmission uses at
@@ -65,7 +66,8 @@ pub struct MediumConfig {
     /// Propagation delay applied uniformly (the paper's Table 1 lists
     /// τ = 1 µs).
     pub propagation_delay: SimDuration,
-    /// Audible-set culling policy applied when the link matrix is built.
+    /// Audible-set culling policy, read once by [`Medium::new`] to derive
+    /// the keep radius.
     pub cull: CullPolicy,
 }
 
@@ -103,16 +105,18 @@ pub struct TxSignal {
 
 /// The shared medium for one simulation run.
 ///
-/// Positions are static for a run, so the deterministic part of every
-/// directed link — distance and path loss — is cached per kept link. The
-/// cache is **audible-slice-major**: one `(distance, loss)` entry per
-/// kept CSR link, parallel to `audible`, so a frame's scatter walks one
-/// contiguous block instead of striding an N-sized matrix row — and the
-/// whole cache is O(kept links), not O(N²) (a 4096-station disk needs
-/// megabytes, not a 256 MB matrix). Entries fill lazily on first touch
-/// (NaN-sentinelled — no shipped model produces NaN for any distance), so
-/// construction does no `log10` at all and a run only ever pays for the
-/// links its transmitters actually use. The per-frame cost of
+/// Positions change only at [`Medium::commit_epoch`], so the
+/// deterministic part of every directed link — distance and path loss —
+/// is cached per kept link, and an epoch commit resets exactly the cells
+/// with a moved endpoint. The cache is **audible-slice-major**: one
+/// `(distance, loss)` entry per kept CSR link, parallel to `audible`, so
+/// a frame's scatter walks one contiguous block instead of striding an
+/// N-sized matrix row — and the whole cache is O(kept links), not O(N²)
+/// (a 4096-station disk needs megabytes, not a 256 MB matrix). Path
+/// losses fill lazily on first touch (NaN-sentinelled — no shipped model
+/// produces NaN for any distance), so construction does no `log10` at
+/// all and a run only ever pays for the links its transmitters actually
+/// use. The per-frame cost of
 /// [`Medium::transmit_into`] is then one sequential cache read plus the
 /// time-varying shadowing sample per receiver; no `log10`, no virtual
 /// dispatch, no hashing, no allocation.
@@ -125,15 +129,14 @@ pub struct Medium {
     /// `audible`: entry `i` describes the directed link whose receiver is
     /// `audible[i]` — exactly the values `path_loss.path_loss(distance)`
     /// would produce, so cached and recomputed powers are bit-identical.
-    /// A NaN loss marks a not-yet-filled entry (and a NaN distance one
-    /// whose distance is also deferred); [`Medium::slot_link`] fills both
-    /// on first touch.
+    /// The distance is written with the entry; a NaN loss marks a loss
+    /// not computed yet, which [`Medium::slot_link`] fills on first touch.
     slot_links: Vec<(Meters, Db)>,
     /// CSR layout of the per-transmitter audible sets: transmitter `t`'s
     /// receivers are the first `audible_lens[t]` entries of
     /// `audible[audible_offsets[t] .. audible_offsets[t+1]]`, in station
     /// order, never containing `t` itself. Under [`CullPolicy::Full`]
-    /// this is simply "everyone else". Construction packs the slices
+    /// this is "everyone else". Construction packs the slices
     /// tight (`audible_lens[t] == audible_offsets[t+1] −
     /// audible_offsets[t]`); an epoch compaction re-lays the arrays with
     /// per-station slack so later [`Medium::commit_epoch`] splices stay
@@ -144,37 +147,38 @@ pub struct Medium {
     audible_lens: Vec<u32>,
     /// Total live CSR entries (`audible.len()` until slack exists).
     live_links: usize,
-    /// The exact keep horizon recovered by `keep_radius` at construction.
-    /// A function of the cull policy, path-loss model and day profile
-    /// only — never of positions — so epoch commits reuse it as-is.
+    /// The exact keep horizon recovered by `keep_radius` at construction
+    /// (`INFINITY` under [`CullPolicy::Full`]). A function of the cull
+    /// policy, path-loss model and day profile only — never of positions
+    /// — so epoch commits reuse it as-is.
     cull_radius: f64,
-    /// Mutable bucket grid reused across epoch commits (`None` until the
-    /// first commit; static runs never build it).
-    epoch_grid: Option<EpochGrid>,
+    /// The spatial index over current positions: built by
+    /// [`Medium::new`], its movers re-binned by every epoch commit.
+    grid: BucketGrid,
     /// Dense per-station flag: receivers [`Medium::transmit_into`] skips
     /// (set by [`Medium::elide_receivers`]; all `false` otherwise).
     elided: Vec<bool>,
     next_tx: u64,
 }
 
-/// NaN sentinel for lazily-filled link-cache fields. No shipped
-/// [`PathLoss`] model returns NaN (every model is finite for every
-/// distance, and distances between finite positions are finite), so NaN
-/// unambiguously marks "not computed yet".
+/// NaN sentinel for a lazily-filled path loss. No shipped [`PathLoss`]
+/// model returns NaN (every model is finite for every distance, and
+/// distances between finite positions are finite), so NaN unambiguously
+/// marks "not computed yet".
 const UNFILLED: f64 = f64::NAN;
 
 /// Link-churn accounting for one mobility epoch, returned by
-/// [`Medium::commit_epoch`] (and, with identical values, by the
-/// [`Medium::commit_epoch_rebuild`] reference — both modes count through
-/// the same code paths, so a run report carrying accumulated churn stays
-/// bitwise comparable across them).
+/// [`Medium::commit_epoch`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochChurn {
     /// Stations whose position actually changed (bit-identical no-op
     /// moves are dropped).
     pub moved: u32,
-    /// Audible slices recomputed: the movers plus their grid-bounded
-    /// neighbourhoods.
+    /// Audible slices recomputed: the movers plus every station within
+    /// the keep radius of a mover's old or new position. Under
+    /// [`CullPolicy::Full`] (an infinite radius) that is every station;
+    /// under a keep radius that keeps nothing it is zero, since every
+    /// slice stays empty.
     pub slices_recomputed: u32,
     /// Pre-epoch directed links invalidated — entries with a moved
     /// endpoint, including those that left their audible set.
@@ -187,8 +191,7 @@ pub struct EpochChurn {
     /// Directed links that left an audible set this epoch.
     pub audible_removed: u32,
     /// Whole-CSR re-layouts forced by a slice outgrowing its capacity
-    /// (0 or 1 per commit; always 0 on the rebuild reference, which
-    /// re-lays everything by definition).
+    /// (0 or 1 per commit).
     pub compactions: u32,
 }
 
@@ -204,8 +207,7 @@ struct EpochPlan {
 /// Merges a dirty station's old live slice against its recomputed slice
 /// (both in station order) into churn counters. An entry present on both
 /// sides with no moved endpoint survives untouched; everything else is
-/// dirtied and/or recomputed. Shared by the incremental and rebuild
-/// commit paths so their accounting cannot diverge.
+/// dirtied and/or recomputed.
 fn count_slice_churn(
     moved: &[bool],
     tx: usize,
@@ -253,8 +255,9 @@ fn count_slice_churn(
 /// non-decreasing in distance (a documented trait contract the range
 /// solvers already rely on), which makes `keep` downward-closed in
 /// distance; `d ≤ radius` then reproduces `keep(d)` for every distance,
-/// bit for bit (debug-asserted per examined pair in [`Medium::new`], and
-/// pinned against the exhaustive scan by the cull-equivalence test).
+/// bit for bit (debug-asserted per examined pair in
+/// `compute_audible_slice`, and pinned against a brute-force per-pair
+/// oracle by the unit tests).
 ///
 /// Returns `NEG_INFINITY` when nothing is kept (every comparison false)
 /// and `INFINITY` when everything is (every comparison true).
@@ -278,23 +281,12 @@ fn keep_radius(keep: impl Fn(Meters) -> bool) -> f64 {
     f64::from_bits(lo)
 }
 
-/// A uniform bucket grid over station positions: the spatial index that
-/// lets audible-set construction examine only O(neighbours) candidate
-/// pairs per station instead of all N−1. Cell side is at least the keep
-/// radius (so a 1-ring neighbourhood always covers it) but never smaller
-/// than span/√N (so the grid itself stays O(N) cells even when the keep
-/// radius is far below the station spacing).
-struct CellGrid {
-    geo: GridGeometry,
-    /// CSR station ids per cell, ascending within each cell.
-    starts: Vec<u32>,
-    ids: Vec<u32>,
-}
-
-/// Shared geometry of both grids: cell side, origin, cell counts and
-/// neighbourhood reach for `positions` under keep radius `radius`.
-/// Factored so [`CellGrid`] (construction) and [`EpochGrid`] (epoch
-/// commits) derive byte-identical parameters from the same positions.
+/// The grid's geometry: cell side, origin, cell counts and neighbourhood
+/// reach for `positions` under keep radius `radius`. Cell side is at
+/// least the keep radius (so a 1-ring neighbourhood always covers it)
+/// but never smaller than span/√N (so the grid stays O(N) cells even
+/// when the keep radius is far below the station spacing). An infinite
+/// radius gives one cell holding every station.
 #[derive(Debug)]
 struct GridGeometry {
     cell: f64,
@@ -351,10 +343,10 @@ impl GridGeometry {
     /// total: positions outside the original bounding box land in edge
     /// cells. Because clamping is monotone and non-expanding, two
     /// positions within the keep radius of each other still map to cells
-    /// at most `reach` apart — so a grid whose geometry was frozen on an
-    /// old bounding box remains a *correct* candidate generator for any
-    /// later positions (only its efficiency can degrade as stations
-    /// drift far outside the box).
+    /// at most `reach` apart — so a grid whose geometry was frozen on the
+    /// construction-time bounding box remains a *correct* candidate
+    /// generator for any later positions (only its efficiency can degrade
+    /// as stations drift far outside the box).
     fn cell_of(&self, p: &Position) -> usize {
         let ix = (((p.x - self.min_x) / self.cell) as usize).min(self.nx - 1);
         let iy = (((p.y - self.min_y) / self.cell) as usize).min(self.ny - 1);
@@ -415,75 +407,31 @@ impl GridGeometry {
     }
 }
 
-impl CellGrid {
-    fn new(positions: &[Position], radius: f64) -> CellGrid {
-        let n = positions.len();
-        let geo = grid_geometry(positions, radius);
-        let mut counts = vec![0u32; geo.nx * geo.ny + 1];
-        for p in positions {
-            counts[geo.cell_of(p) + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let starts = counts.clone();
-        let mut cursor = counts;
-        let mut ids = vec![0u32; n];
-        // Ascending station order keeps each cell's id list sorted.
-        for (i, p) in positions.iter().enumerate() {
-            let c = geo.cell_of(p);
-            ids[cursor[c] as usize] = i as u32;
-            cursor[c] += 1;
-        }
-        CellGrid { geo, starts, ids }
-    }
-}
-
-/// A candidate generator for audible-slice recomputation: visits a
-/// superset of the stations within the keep radius of a position. Both
-/// grids implement it, so construction and epoch commits share one slice
-/// routine ([`compute_audible_slice`]) and cannot drift.
-trait NeighbourSource {
-    fn for_each_neighbour(&self, of: &Position, visit: impl FnMut(u32));
-}
-
-impl NeighbourSource for CellGrid {
-    /// Visits every station id (including `of` itself) in the cells
-    /// [`GridGeometry::for_each_cell_near`] keeps.
-    fn for_each_neighbour(&self, of: &Position, mut visit: impl FnMut(u32)) {
-        self.geo.for_each_cell_near(of, |c| {
-            let (lo, hi) = (self.starts[c] as usize, self.starts[c + 1] as usize);
-            for &id in &self.ids[lo..hi] {
-                visit(id);
-            }
-        });
-    }
-}
-
-/// The mutable bucket grid epoch commits reuse: same geometry derivation
-/// as [`CellGrid`] but with per-cell `Vec` buckets so moving a station
-/// is two bucket edits instead of a CSR rebuild — the piece that makes
-/// [`Medium::commit_epoch`] O(moved neighbourhoods) with no O(N) scan.
+/// A uniform bucket grid over station positions: the spatial index that
+/// lets audible-slice computation examine only O(neighbours) candidate
+/// pairs per station instead of all N−1. Per-cell `Vec` buckets make
+/// moving a station two bucket edits, so an epoch commit re-bins its
+/// movers instead of rebuilding the index.
 ///
-/// Geometry is frozen when the grid is first built (first epoch commit).
-/// [`GridGeometry::cell_of`]'s clamped indexing keeps the frozen grid a
-/// correct candidate generator for arbitrary later positions; bucket
-/// *order* is irrelevant (every consumer either marks a dirty bit or
-/// sorts the slice it builds), so removal can `swap_remove`.
+/// Geometry is frozen at construction. [`GridGeometry::cell_of`]'s
+/// clamped indexing keeps the frozen grid a correct candidate generator
+/// for arbitrary later positions; bucket *order* is irrelevant (every
+/// consumer either marks a dirty bit or sorts the slice it builds), so
+/// removal can `swap_remove`.
 #[derive(Debug)]
-struct EpochGrid {
+struct BucketGrid {
     geo: GridGeometry,
     buckets: Vec<Vec<u32>>,
 }
 
-impl EpochGrid {
-    fn new(positions: &[Position], radius: f64) -> EpochGrid {
+impl BucketGrid {
+    fn new(positions: &[Position], radius: f64) -> BucketGrid {
         let geo = grid_geometry(positions, radius);
         let mut buckets = vec![Vec::new(); geo.nx * geo.ny];
         for (i, p) in positions.iter().enumerate() {
             buckets[geo.cell_of(p)].push(i as u32);
         }
-        EpochGrid { geo, buckets }
+        BucketGrid { geo, buckets }
     }
 
     /// Re-bins station `id` after it moved from `old` to `new`.
@@ -501,9 +449,10 @@ impl EpochGrid {
         bucket.swap_remove(at);
         self.buckets[to].push(id);
     }
-}
 
-impl NeighbourSource for EpochGrid {
+    /// Visits every station id (including `of` itself, if binned) in the
+    /// cells [`GridGeometry::for_each_cell_near`] keeps: a superset of
+    /// the stations within the keep radius of `of`.
     fn for_each_neighbour(&self, of: &Position, mut visit: impl FnMut(u32)) {
         self.geo.for_each_cell_near(of, |c| {
             for &id in &self.buckets[c] {
@@ -518,14 +467,16 @@ impl NeighbourSource for EpochGrid {
 /// cross-checked against the full predicate), sorted into station order.
 /// The single slice routine shared by [`Medium::new`] and
 /// [`Medium::commit_epoch`]: an epoch-recomputed slice is byte-identical
-/// to what construction over the same positions would build.
+/// to what construction over the same positions would build. With an
+/// infinite radius every candidate passes, and the cached distance
+/// `sqrt(d_sq)` is bit for bit [`Position::distance_to`].
 // `config` only feeds the debug cross-check below.
 #[cfg_attr(not(debug_assertions), allow(unused_variables))]
 fn compute_audible_slice(
     positions: &[Position],
     config: &MediumConfig,
     radius: f64,
-    grid: &impl NeighbourSource,
+    grid: &BucketGrid,
     tx: usize,
     scratch: &mut Vec<(u32, f64)>,
 ) {
@@ -588,17 +539,13 @@ impl Medium {
     /// O(N + kept): the predicate depends on a pair only through its
     /// distance and path loss is monotone in distance, so the exact keep
     /// horizon is recovered once by `keep_radius` bisection and each
-    /// station only examines the neighbours a `CellGrid` proves could
+    /// station only examines the neighbours the grid proves could
     /// be inside it. Construction writes only membership and distances:
     /// path losses and shadowing state wait for a link's first sample, so
     /// a large field whose stations mostly never transmit pays for the
     /// few slices that do.
     pub fn new(positions: Vec<Position>, mut shadowing: Shadowing, config: MediumConfig) -> Medium {
         let n = positions.len();
-        let mut audible = Vec::new();
-        let mut slot_links = Vec::new();
-        let mut audible_offsets = Vec::with_capacity(n + 1);
-        audible_offsets.push(0u32);
         let radius = match config.cull {
             CullPolicy::Full => f64::INFINITY,
             CullPolicy::Audible {
@@ -613,33 +560,19 @@ impl Medium {
                 })
             }
         };
-        if radius == f64::INFINITY {
-            // Everything is kept (Full policy, or a horizon beyond
-            // f64::MAX): the audible sets are "everyone else" and no
-            // geometry needs computing at all.
-            for tx in 0..n {
-                for rx in 0..n {
-                    if rx != tx {
-                        audible.push(NodeId(rx as u32));
-                    }
-                }
-                audible_offsets.push(audible.len() as u32);
+        let grid = BucketGrid::new(&positions, radius);
+        let mut audible = Vec::new();
+        let mut slot_links = Vec::new();
+        let mut audible_offsets = Vec::with_capacity(n + 1);
+        audible_offsets.push(0u32);
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
+        for tx in 0..n {
+            compute_audible_slice(&positions, &config, radius, &grid, tx, &mut scratch);
+            for &(rx, d) in &scratch {
+                audible.push(NodeId(rx));
+                slot_links.push((Meters(d), Db(UNFILLED)));
             }
-            slot_links.resize(audible.len(), (Meters(UNFILLED), Db(UNFILLED)));
-        } else if radius == f64::NEG_INFINITY || n == 0 {
-            // Nothing is kept: every audible set is empty.
-            audible_offsets.resize(n + 1, 0);
-        } else {
-            let grid = CellGrid::new(&positions, radius);
-            let mut scratch: Vec<(u32, f64)> = Vec::new();
-            for tx in 0..n {
-                compute_audible_slice(&positions, &config, radius, &grid, tx, &mut scratch);
-                for &(rx, d) in &scratch {
-                    audible.push(NodeId(rx));
-                    slot_links.push((Meters(d), Db(UNFILLED)));
-                }
-                audible_offsets.push(audible.len() as u32);
-            }
+            audible_offsets.push(audible.len() as u32);
         }
         shadowing.reserve_slots(audible.len());
         // Construction packs the CSR tight: every slice's live length is
@@ -656,7 +589,7 @@ impl Medium {
             audible_lens,
             live_links,
             cull_radius: radius,
-            epoch_grid: None,
+            grid,
             elided: vec![false; n],
             next_tx: 0,
         }
@@ -683,24 +616,18 @@ impl Medium {
             .map(|i| start + i)
     }
 
-    /// The (distance, path loss) of the CSR slot `slot` (a `tx → rx`
-    /// link), filling the lazy cache entry on first touch. Filled entries
-    /// hold exactly what recomputing from positions would produce, so
-    /// cached and recomputed values are bit-identical (asserted by the
-    /// bitwise link-cache test).
+    /// The (distance, path loss) of the CSR slot `slot`, filling the
+    /// lazy path loss on first touch. Filled entries hold exactly what
+    /// recomputing from positions would produce, so cached and recomputed
+    /// values are bit-identical (asserted by the bitwise link-cache test).
     #[inline]
-    fn slot_link(&mut self, slot: usize, tx: NodeId) -> (Meters, Db) {
+    fn slot_link(&mut self, slot: usize) -> (Meters, Db) {
         let (d, pl) = self.slot_links[slot];
         if !pl.0.is_nan() {
             return (d, pl);
         }
-        let d = if d.0.is_nan() {
-            self.positions[tx.index()].distance_to(self.positions[self.audible[slot].index()])
-        } else {
-            d
-        };
         let pl = self.config.path_loss.path_loss(d);
-        self.slot_links[slot] = (d, pl);
+        self.slot_links[slot].1 = pl;
         (d, pl)
     }
 
@@ -766,11 +693,12 @@ impl Medium {
             .unwrap_or(0)
     }
 
-    /// Number of directed links removed by the culling policy, out of
-    /// `n·(n−1)` total. Zero under [`CullPolicy::Full`] — and zero on all
+    /// Number of directed links outside every audible set at the current
+    /// positions, out of `n·(n−1)` total. Zero under [`CullPolicy::Full`],
+    /// whose infinite radius keeps every pair — and zero on all
     /// paper-scale scenarios even under [`CullPolicy::Audible`], which is
     /// what makes culling physics-invisible there (asserted by the
-    /// cull-exactness regression test).
+    /// workspace `culling` tests).
     pub fn culled_link_count(&self) -> usize {
         let n = self.positions.len();
         n * n.saturating_sub(1) - self.live_links
@@ -867,7 +795,7 @@ impl Medium {
     pub fn rx_power(&mut self, tx: NodeId, rx: NodeId, tx_power: Dbm, now: SimTime) -> Dbm {
         match self.slot_of(tx, rx) {
             Some(slot) => {
-                let (d, pl) = self.slot_link(slot, tx);
+                let (d, pl) = self.slot_link(slot);
                 let excess = self.shadowing.sample_slot(slot, tx, rx, d, now);
                 tx_power - pl - excess
             }
@@ -931,7 +859,7 @@ impl Medium {
             if self.elided[rx.index()] {
                 continue;
             }
-            let (d, pl) = self.slot_link(slot, source);
+            let (d, pl) = self.slot_link(slot);
             let excess = self.shadowing.sample_slot(slot, source, rx, d, now);
             deliveries.push((
                 rx,
@@ -960,22 +888,26 @@ impl Medium {
     /// stations and repairs only the link state their displacement can
     /// have touched, leaving every unmoved pair's cached geometry and
     /// shadowing state byte-for-byte intact (same bits, same RNG
-    /// substream position). The result is bitwise-identical to tearing
-    /// the medium down and rebuilding it at the new positions
-    /// ([`Medium::commit_epoch_rebuild`] is that reference
-    /// implementation; the epoch-identity tests replay every epoch both
-    /// ways).
+    /// substream position). The result is bitwise-identical to building
+    /// the medium afresh at the new positions and transplanting every
+    /// unmoved pair's state into it (the unit tests replay every epoch
+    /// against a brute-force per-pair oracle that does exactly that).
     ///
-    /// The dirty set is bounded by the persistent epoch grid: a
-    /// station's slice can only change if it moved or lies within the
-    /// keep radius of some mover's old or new position, and the grid
-    /// over-approximates exactly those neighbourhoods. Recomputation
-    /// then uses the same exact-predicate slice routine as construction,
-    /// so the bound being a superset costs work, never correctness.
+    /// The dirty set is bounded by the grid: a station's slice can only
+    /// change if it moved or lies within the keep radius of some mover's
+    /// old or new position, and the grid over-approximates exactly those
+    /// neighbourhoods. Recomputation then uses the same exact-predicate
+    /// slice routine as construction, so the bound being a superset costs
+    /// work, never correctness. Under [`CullPolicy::Full`] every station
+    /// is within reach of a mover, so every slice is recomputed.
     /// Slices are spliced in place while they fit their CSR capacity;
     /// the first growth beyond capacity triggers one compaction that
     /// re-lays the arrays with per-station slack (¼ of the live length,
     /// at least 4 slots), after which splices fit in place again.
+    ///
+    /// Cost: O(moved neighbourhoods), plus two O(N) flag passes (the
+    /// move plan and the dirty set each allocate and scan a
+    /// `vec![false; n]`) and O(N + kept links) on a compaction.
     ///
     /// Duplicate moves of one station keep the last position; moves that
     /// leave a station's position bit-identical are ignored.
@@ -993,17 +925,14 @@ impl Medium {
             return churn;
         }
         self.shadowing.retain_unmoved_links(&plan.moved);
-        let radius = self.cull_radius;
-        let n = self.positions.len();
-        if radius == f64::NEG_INFINITY || n == 0 {
+        for &(id, ref old) in &plan.movers {
+            self.grid.move_id(id, old, &self.positions[id as usize]);
+        }
+        if self.cull_radius == f64::NEG_INFINITY {
+            // Nothing is ever kept: every slice stays empty.
             return churn;
         }
-        if radius == f64::INFINITY {
-            self.commit_epoch_full_fanout(&plan, true, &mut churn);
-            return churn;
-        }
-        let grid = self.take_epoch_grid(&plan, radius);
-        let dirty = self.dirty_stations(&plan, &grid, radius);
+        let dirty = self.dirty_stations(&plan);
         // Recompute every dirty slice first (flat arena, one slice per
         // `dirty` entry), counting churn against the old live slices;
         // only then mutate, so the capacity check can pick in-place
@@ -1016,8 +945,8 @@ impl Medium {
             compute_audible_slice(
                 &self.positions,
                 &self.config,
-                radius,
-                &grid,
+                self.cull_radius,
+                &self.grid,
                 tx as usize,
                 &mut scratch,
             );
@@ -1041,100 +970,6 @@ impl Medium {
             churn.compactions = 1;
             self.compact_with(&plan.moved, &dirty, &flat, &ends);
         }
-        self.epoch_grid = Some(grid);
-        churn
-    }
-
-    /// The from-scratch reference for [`Medium::commit_epoch`]: applies
-    /// the same moves, reconstructs the medium with [`Medium::new`] at
-    /// the new positions, then transplants every unmoved pair's cached
-    /// cell and shadowing state into the fresh CSR (relocation cannot
-    /// fork a link's trajectory — the state is the same bits in a
-    /// different slot). Churn counters are computed by the same
-    /// accounting paths as the incremental commit, so the two modes
-    /// report identical [`EpochChurn`] — which is what lets the identity
-    /// tests compare whole run reports.
-    ///
-    /// O(N + kept links) per epoch; exists for the identity proof and as
-    /// the bench baseline the ≥10× gate is measured against.
-    pub fn commit_epoch_rebuild(&mut self, moves: &[(NodeId, Position)]) -> EpochChurn {
-        let plan = self.apply_moves(moves);
-        let mut churn = EpochChurn {
-            moved: plan.moved_count,
-            ..EpochChurn::default()
-        };
-        if plan.movers.is_empty() {
-            return churn;
-        }
-        let radius = self.cull_radius;
-        let n = self.positions.len();
-        // Churn accounting first, against the still-old CSR, through the
-        // exact code paths the incremental commit uses.
-        let grid = if radius == f64::NEG_INFINITY || n == 0 {
-            None
-        } else if radius == f64::INFINITY {
-            self.commit_epoch_full_fanout(&plan, false, &mut churn);
-            None
-        } else {
-            let grid = self.take_epoch_grid(&plan, radius);
-            let dirty = self.dirty_stations(&plan, &grid, radius);
-            let mut scratch: Vec<(u32, f64)> = Vec::new();
-            for &tx in &dirty {
-                compute_audible_slice(
-                    &self.positions,
-                    &self.config,
-                    radius,
-                    &grid,
-                    tx as usize,
-                    &mut scratch,
-                );
-                let (start, end) = self.slice_bounds(tx as usize);
-                count_slice_churn(
-                    &plan.moved,
-                    tx as usize,
-                    &self.audible[start..end],
-                    &scratch,
-                    &mut churn,
-                );
-            }
-            Some(grid)
-        };
-        // Full rebuild at the new positions, from the same (already
-        // salted) master stream …
-        self.shadowing.retain_unmoved_links(&plan.moved);
-        let mut fresh = Medium::new(
-            self.positions.clone(),
-            self.shadowing.fresh_like(),
-            self.config.clone(),
-        );
-        fresh.next_tx = self.next_tx;
-        fresh.epoch_grid = grid;
-        // … then transplant the surviving state: every directed link
-        // whose endpoints both stayed put keeps its membership (its
-        // distance is unchanged), its cached (distance, loss) bits and
-        // its shadowing trajectory.
-        for tx in 0..n {
-            if plan.moved[tx] {
-                continue;
-            }
-            let (start, end) = self.slice_bounds(tx);
-            for slot in start..end {
-                let rx = self.audible[slot];
-                if plan.moved[rx.index()] {
-                    continue;
-                }
-                let new_slot = fresh
-                    .slot_of(NodeId(tx as u32), rx)
-                    .expect("an unmoved pair's audible membership cannot change");
-                fresh.slot_links[new_slot] = self.slot_links[slot];
-                let entry = self.shadowing.take_slot(slot);
-                if entry.is_some() {
-                    fresh.shadowing.put_slot(new_slot, entry);
-                }
-            }
-        }
-        fresh.shadowing.adopt_links_from(&mut self.shadowing);
-        *self = fresh;
         churn
     }
 
@@ -1171,90 +1006,38 @@ impl Medium {
         }
     }
 
-    /// The persistent epoch grid, with every mover re-binned to its new
-    /// cell — built over the current (post-move) positions on the first
-    /// epoch commit, bucket-updated ever after. Taken out of `self` so
-    /// the caller can hold it across borrows; put it back when done.
-    fn take_epoch_grid(&mut self, plan: &EpochPlan, radius: f64) -> EpochGrid {
-        match self.epoch_grid.take() {
-            Some(mut grid) => {
-                for &(id, ref old) in &plan.movers {
-                    grid.move_id(id, old, &self.positions[id as usize]);
-                }
-                grid
-            }
-            None => EpochGrid::new(&self.positions, radius),
-        }
-    }
-
     /// The stations whose audible slice this epoch can have changed:
     /// every mover, plus every station within the keep radius of a
     /// mover's old or new position. A proven — and exact up to the
     /// movers' own neighbours — superset: an unmoved station's slice can
     /// only differ if some mover entered it, left it, or changed
     /// distance inside it, and each of those puts the station within
-    /// `radius` of that mover's old or new position. Grid neighbourhoods
-    /// generate the candidates (movers are binned at their new cells; a
-    /// mover audible at its old cell is dirty by the first rule), the
-    /// exact distance predicate then discards the 3×3-cell overhang —
-    /// without the filter the dirty set is ~9/π wider and the epoch
-    /// commit measurably slower at scale. Ascending station order.
-    fn dirty_stations(&self, plan: &EpochPlan, grid: &EpochGrid, radius: f64) -> Vec<u32> {
+    /// the radius of that mover's old or new position. Grid
+    /// neighbourhoods generate the candidates (movers are already
+    /// re-binned at their new cells; a mover audible at its old cell is
+    /// dirty by the first rule), the exact distance predicate then
+    /// discards the 3×3-cell overhang — without the filter the dirty set
+    /// is ~9/π wider and the epoch commit measurably slower at scale.
+    /// Ascending station order.
+    fn dirty_stations(&self, plan: &EpochPlan) -> Vec<u32> {
         let n = self.positions.len();
+        let radius = self.cull_radius;
         let mut dirty = vec![false; n];
         for &(id, ref old) in &plan.movers {
             dirty[id as usize] = true;
             let new = self.positions[id as usize];
-            grid.for_each_neighbour(old, |t| {
+            self.grid.for_each_neighbour(old, |t| {
                 if old.distance_to(self.positions[t as usize]).0 <= radius {
                     dirty[t as usize] = true;
                 }
             });
-            grid.for_each_neighbour(&new, |t| {
+            self.grid.for_each_neighbour(&new, |t| {
                 if new.distance_to(self.positions[t as usize]).0 <= radius {
                     dirty[t as usize] = true;
                 }
             });
         }
         (0..n as u32).filter(|&t| dirty[t as usize]).collect()
-    }
-
-    /// The epoch path under [`CullPolicy::Full`] (or a horizon past
-    /// `f64::MAX`): membership is "everyone else" forever, so only the
-    /// cached cells and shadowing state of moved pairs need resetting —
-    /// to the exact `(UNFILLED, UNFILLED)` state the Full construction
-    /// branch starts every cell in. With `mutate` false only the
-    /// counters are produced (the rebuild reference wants identical
-    /// accounting without touching state it is about to discard).
-    fn commit_epoch_full_fanout(&mut self, plan: &EpochPlan, mutate: bool, churn: &mut EpochChurn) {
-        let n = self.positions.len();
-        for &(id, _) in &plan.movers {
-            churn.slices_recomputed += 1;
-            let (start, end) = self.slice_bounds(id as usize);
-            churn.links_dirtied += (end - start) as u32;
-            churn.links_recomputed += (end - start) as u32;
-            if mutate {
-                for slot in start..end {
-                    self.slot_links[slot] = (Meters(UNFILLED), Db(UNFILLED));
-                    self.shadowing.clear_slot(slot);
-                }
-            }
-        }
-        for tx in 0..n as u32 {
-            if plan.moved[tx as usize] {
-                continue;
-            }
-            for &(id, _) in &plan.movers {
-                if let Some(slot) = self.slot_of(NodeId(tx), NodeId(id)) {
-                    churn.links_dirtied += 1;
-                    churn.links_recomputed += 1;
-                    if mutate {
-                        self.slot_links[slot] = (Meters(UNFILLED), Db(UNFILLED));
-                        self.shadowing.clear_slot(slot);
-                    }
-                }
-            }
-        }
     }
 
     /// Replaces each dirty slice inside its existing CSR capacity:
@@ -1700,90 +1483,335 @@ mod tests {
             .collect()
     }
 
-    /// The grid-accelerated construction is an optimization, not a
-    /// policy change: for any topology it must keep exactly the pairs the
-    /// exhaustive n·(n−1) predicate scan keeps — same audible sets in the
-    /// same order, same culled count, and bit-identical (distance, loss)
-    /// per kept link. The topologies include stations exactly on cell
-    /// edges and pairs exactly at (and one ulp either side of) the keep
-    /// radius, where the cell-skipping scan's slack must not cut a kept
-    /// pair; the epochs then drive stations outside the frozen epoch
-    /// grid's bounding box, into its clamped border cells.
+    /// The exact keep predicate on one link length — what every audible
+    /// set must agree with, pair by pair.
+    fn keeps(config: &MediumConfig, d: Meters) -> bool {
+        match config.cull {
+            CullPolicy::Full => true,
+            CullPolicy::Audible {
+                tx_power,
+                noise_floor,
+                margin,
+            } => {
+                let best_case = tx_power - config.path_loss.path_loss(d) - config.day.min_excess();
+                best_case.0 >= noise_floor.0 - margin.0
+            }
+        }
+    }
+
+    /// The brute-force O(N²) oracle for `Medium`'s link state: re-lays
+    /// `m`'s CSR tight from the exact keep predicate on every pair at the
+    /// current positions, touching neither the grid nor the keep radius.
+    /// A pair with an endpoint flagged in `moved` starts fresh — its
+    /// distance, no path loss, no shadowing state. Every other pair keeps
+    /// its old cell and shadowing state, relocated to its new slot.
+    fn oracle_relayout(m: &mut Medium, moved: &[bool]) {
+        let n = m.positions.len();
+        let mut audible = Vec::new();
+        let mut slot_links = Vec::new();
+        let mut offsets = vec![0u32];
+        let mut slot_moves = Vec::new();
+        for tx in 0..n {
+            for rx in (0..n).filter(|&rx| rx != tx) {
+                let d = m.positions[tx].distance_to(m.positions[rx]);
+                if !keeps(&m.config, d) {
+                    continue;
+                }
+                let cell = if moved[tx] || moved[rx] {
+                    (d, Db(UNFILLED))
+                } else {
+                    let old = m
+                        .slot_of(NodeId(tx as u32), NodeId(rx as u32))
+                        .expect("an unmoved pair keeps its membership");
+                    slot_moves.push((old as u32, audible.len() as u32));
+                    m.slot_links[old]
+                };
+                audible.push(NodeId(rx as u32));
+                slot_links.push(cell);
+            }
+            offsets.push(audible.len() as u32);
+        }
+        m.shadowing.remap_slots(audible.len(), &slot_moves);
+        m.audible_lens = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        m.live_links = audible.len();
+        m.audible = audible;
+        m.slot_links = slot_links;
+        m.audible_offsets = offsets;
+    }
+
+    /// The oracle's construction: every pair starts fresh. Only the link
+    /// state of the returned medium is the oracle's; its grid indexes no
+    /// station, so it must never commit an epoch itself.
+    fn oracle_new(positions: Vec<Position>, shadowing: Shadowing, config: MediumConfig) -> Medium {
+        let n = positions.len();
+        let mut m = Medium::new(Vec::new(), shadowing, config);
+        m.positions = positions;
+        m.elided = vec![false; n];
+        oracle_relayout(&mut m, &vec![true; n]);
+        m
+    }
+
+    /// The oracle's epoch commit, with [`EpochChurn`] computed from its
+    /// definition: links dirtied (recomputed) are the old (new) entries
+    /// with a moved endpoint; added and removed are the set differences;
+    /// slices are the movers plus every station the predicate keeps from
+    /// a mover's old or new position, or none when it keeps nothing at
+    /// all; and a compaction happens when some new slice is longer than
+    /// `capacity`, the committing medium's pre-epoch CSR capacities.
+    fn oracle_commit(
+        m: &mut Medium,
+        moves: &[(NodeId, Position)],
+        capacity: &[usize],
+    ) -> EpochChurn {
+        let n = m.positions.len();
+        let before = m.positions.clone();
+        let old_sets: Vec<Vec<NodeId>> = (0..n)
+            .map(|t| m.audible_set(NodeId(t as u32)).to_vec())
+            .collect();
+        let plan = m.apply_moves(moves);
+        m.shadowing.retain_unmoved_links(&plan.moved);
+        oracle_relayout(m, &plan.moved);
+        let moved = &plan.moved;
+        let touched = |t: usize, set: &[NodeId]| {
+            set.iter()
+                .filter(|rx| moved[t] || moved[rx.index()])
+                .count() as u32
+        };
+        let config = &m.config;
+        let movers: Vec<usize> = (0..n).filter(|&k| moved[k]).collect();
+        let near_mover = |at: Position| {
+            movers.iter().any(|&k| {
+                keeps(config, before[k].distance_to(at))
+                    || keeps(config, m.positions[k].distance_to(at))
+            })
+        };
+        let mut churn = EpochChurn {
+            moved: plan.moved_count,
+            ..EpochChurn::default()
+        };
+        for (t, old) in old_sets.iter().enumerate() {
+            let new = m.audible_set(NodeId(t as u32));
+            churn.links_dirtied += touched(t, old);
+            churn.links_recomputed += touched(t, new);
+            churn.audible_added += new.iter().filter(|rx| !old.contains(rx)).count() as u32;
+            churn.audible_removed += old.iter().filter(|rx| !new.contains(rx)).count() as u32;
+            if keeps(config, Meters(0.0)) && (moved[t] || near_mover(m.positions[t])) {
+                churn.slices_recomputed += 1;
+            }
+            if new.len() > capacity[t] {
+                churn.compactions = 1;
+            }
+        }
+        churn
+    }
+
+    /// Asserts that `m` holds the oracle's link state bit for bit: the
+    /// audible sets, every raw cached cell, every resolved (distance,
+    /// path loss) against a recomputation from positions, and every
+    /// link's shadowing init state.
+    fn assert_matches_oracle(m: &Medium, o: &Medium, tag: &str) {
+        let bits = |(d, pl): (Meters, Db)| (d.0.to_bits(), pl.0.to_bits());
+        assert_eq!(m.station_count(), o.station_count(), "{tag}");
+        assert_eq!(m.next_tx, o.next_tx, "{tag}");
+        assert_eq!(m.culled_link_count(), o.culled_link_count(), "{tag}");
+        for t in 0..m.station_count() {
+            let tx = NodeId(t as u32);
+            assert_eq!(m.position(tx), o.position(tx), "{tag} position of {tx:?}");
+            assert_eq!(m.audible_set(tx), o.audible_set(tx), "{tag} set of {tx:?}");
+            for &rx in m.audible_set(tx) {
+                let (sm, so) = (m.slot_of(tx, rx).unwrap(), o.slot_of(tx, rx).unwrap());
+                assert_eq!(
+                    bits(m.slot_links[sm]),
+                    bits(o.slot_links[so]),
+                    "{tag} cell {tx:?}->{rx:?}"
+                );
+                let d = m.position(tx).distance_to(m.position(rx));
+                assert_eq!(
+                    bits(m.link(tx, rx)),
+                    bits((d, m.config.path_loss.path_loss(d))),
+                    "{tag} link {tx:?}->{rx:?}"
+                );
+                assert_eq!(
+                    m.shadowing.slot_is_init(sm),
+                    o.shadowing.slot_is_init(so),
+                    "{tag} shadowing {tx:?}->{rx:?}"
+                );
+            }
+        }
+        assert_eq!(
+            m.shadowing.initialised_slots(),
+            o.shadowing.initialised_slots(),
+            "{tag}"
+        );
+    }
+
+    /// One epoch's move set, drawn from `m`'s current positions.
+    #[derive(Debug, Clone, Copy)]
+    enum MoveSet {
+        /// Every third station jumps up to ~2 km (large jumps, sign
+        /// flips, diagonal drift).
+        Jump,
+        /// A tenth of the stations contract toward the field's centre,
+        /// densifying it until some slice outgrows its capacity.
+        Contract,
+        /// Every fourth station leaves several cells past each side and
+        /// corner of the construction-time bounding box, in pairs half a
+        /// keep radius apart, into the grid's clamped edge cells.
+        Expand,
+        /// Nothing but the no-op and duplicate entries every set gets.
+        Idle,
+    }
+
+    fn moves_for(
+        set: MoveSet,
+        epoch: usize,
+        m: &Medium,
+        built: &[Position],
+    ) -> Vec<(NodeId, Position)> {
+        let n = m.station_count();
+        let at = |i: usize| m.positions()[i];
+        let mut moves: Vec<(NodeId, Position)> = match set {
+            MoveSet::Jump => (epoch % 3..n)
+                .step_by(3)
+                .map(|i| {
+                    let sign = if (i + epoch).is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    let dx = sign * (((i * 37 + epoch * 101) % 40) as f64) * 60.0;
+                    let dy = -sign * (((i * 13 + epoch * 59) % 30) as f64) * 45.0;
+                    (
+                        NodeId(i as u32),
+                        Position {
+                            x: at(i).x + dx,
+                            y: at(i).y + dy,
+                        },
+                    )
+                })
+                .collect(),
+            MoveSet::Contract => (epoch % 10..n)
+                .step_by(10)
+                .map(|i| {
+                    let p = at(i);
+                    (
+                        NodeId(i as u32),
+                        Position {
+                            x: p.x * 0.45,
+                            y: p.y * 0.45 + 80.0,
+                        },
+                    )
+                })
+                .collect(),
+            MoveSet::Expand => {
+                let (lo_x, hi_x, lo_y, hi_y) = built.iter().fold(
+                    (
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                    ),
+                    |(a, b, c, d), p| (a.min(p.x), b.max(p.x), c.min(p.y), d.max(p.y)),
+                );
+                let cell = m.grid.geo.cell;
+                let cell = if cell.is_finite() { cell } else { 1_000.0 };
+                // Half a keep radius, or half a cell where the radius is
+                // infinite or keeps nothing.
+                let r = m.cull_radius;
+                let pair = 0.5 * if r.is_finite() && r > 0.0 { r } else { cell };
+                (0..n)
+                    .step_by(4)
+                    .enumerate()
+                    .map(|(k, i)| {
+                        let far = (3 + k / 8 * 2) as f64 * cell;
+                        let mut to = match (k / 2) % 4 {
+                            0 => Position {
+                                x: hi_x + far,
+                                y: lo_y,
+                            },
+                            1 => Position {
+                                x: lo_x - far,
+                                y: hi_y,
+                            },
+                            2 => Position {
+                                x: hi_x + far,
+                                y: hi_y + far,
+                            },
+                            _ => Position {
+                                x: lo_x,
+                                y: lo_y - far,
+                            },
+                        };
+                        if k % 2 == 1 {
+                            to.x += 0.6 * pair;
+                            to.y += 0.8 * pair;
+                        }
+                        (NodeId(i as u32), to)
+                    })
+                    .collect()
+            }
+            MoveSet::Idle => Vec::new(),
+        };
+        if n > 0 {
+            // A bit-identical "move" and a repeated entry, which the move
+            // plan must drop and dedup.
+            let anchor = (epoch + 1) % n;
+            moves.push((NodeId(anchor as u32), at(anchor)));
+            let first = moves[0];
+            moves.push(first);
+        }
+        moves
+    }
+
+    /// Construction and every epoch commit leave the medium exactly what
+    /// the brute-force oracle builds: same audible sets in the same
+    /// order, bit-identical cached and resolved (distance, path loss) per
+    /// link, the same shadowing init state, the same [`EpochChurn`], and
+    /// bitwise-equal deliveries from frames sent between epochs (which
+    /// consume shadowing state, so survivors carry live RNG positions).
+    /// The topologies include stations exactly on cell edges and pairs
+    /// exactly at (and one ulp either side of) the keep radius, where the
+    /// cell-skipping scan's slack must not cut a kept pair; an empty
+    /// field and a lone station. The densifying chain sees both in-place
+    /// splices and a compaction of a partly sampled store.
     #[test]
-    fn grid_cull_matches_exhaustive_scan_bitwise() {
+    fn medium_matches_brute_force_oracle_bitwise() {
         use crate::pathloss::DualSlope;
 
-        // Exhaustive reference: the pre-grid per-pair construction.
-        fn exhaustive(
-            positions: &[Position],
-            config: &MediumConfig,
-        ) -> (Vec<Vec<NodeId>>, Vec<(u64, u64)>) {
-            let min_excess = config.day.min_excess();
-            let mut sets = Vec::new();
-            let mut links = Vec::new();
-            for tx in 0..positions.len() {
-                let mut set = Vec::new();
-                for rx in 0..positions.len() {
-                    if rx == tx {
-                        continue;
-                    }
-                    let d = positions[tx].distance_to(positions[rx]);
-                    let pl = config.path_loss.path_loss(d);
-                    let keep = match config.cull {
-                        CullPolicy::Full => true,
-                        CullPolicy::Audible {
-                            tx_power,
-                            noise_floor,
-                            margin,
-                        } => {
-                            let best_case = tx_power - pl - min_excess;
-                            best_case.0 >= noise_floor.0 - margin.0
-                        }
-                    };
-                    if keep {
-                        set.push(NodeId(rx as u32));
-                        links.push((d.0.to_bits(), pl.0.to_bits()));
-                    }
-                }
-                sets.push(set);
+        let config = |cull: CullPolicy| MediumConfig {
+            path_loss: DualSlope {
+                near: LogDistance::anchored_at_free_space_1m(2.42),
+                breakpoint: Meters(500.0),
+                far_exponent: 4.0,
             }
-            (sets, links)
-        }
-
-        let far_model: PathLossModel = DualSlope {
-            near: LogDistance::anchored_at_free_space_1m(2.42),
-            breakpoint: Meters(500.0),
-            far_exponent: 4.0,
-        }
-        .into();
+            .into(),
+            day: DayProfile::clear(),
+            propagation_delay: SimDuration::from_micros(1),
+            cull,
+        };
+        let shadowing = || Shadowing::new(DayProfile::clear(), SimRng::from_seed(33));
+        let zero_horizon = CullPolicy::Audible {
+            tx_power: Dbm(-400.0),
+            noise_floor: Dbm(-96.6),
+            margin: Db(0.0),
+        };
         let culls = [
             CullPolicy::Audible {
                 tx_power: Dbm(15.0),
                 noise_floor: Dbm(-96.6),
                 margin: Db(CULL_MARGIN_DB),
             },
-            // A margin so hostile nothing survives even at 0 m.
-            CullPolicy::Audible {
-                tx_power: Dbm(-400.0),
-                noise_floor: Dbm(-96.6),
-                margin: Db(0.0),
-            },
             CullPolicy::Full,
+            zero_horizon,
         ];
+        assert_eq!(
+            Medium::new(Vec::new(), shadowing(), config(zero_horizon)).cull_radius,
+            f64::NEG_INFINITY
+        );
         // The keep radius of the first policy: the lattice below puts
         // stations on its cell edges (the grid's cell side is exactly the
         // radius there, with the origin at 0) and pairs at its boundary.
-        let r = Medium::new(
-            Vec::new(),
-            Shadowing::new(DayProfile::clear(), SimRng::from_seed(9)),
-            MediumConfig {
-                path_loss: far_model,
-                day: DayProfile::clear(),
-                propagation_delay: SimDuration::from_micros(1),
-                cull: culls[0],
-            },
-        )
-        .cull_radius;
+        let r = Medium::new(Vec::new(), shadowing(), config(culls[0])).cull_radius;
         assert!(r.is_finite() && r > 0.0);
         let up = |v: f64| f64::from_bits(v.to_bits() + 1);
         let down = |v: f64| f64::from_bits(v.to_bits() - 1);
@@ -1818,139 +1846,108 @@ mod tests {
                 y: 0.5 * r - up(r),
             },
         ]);
-        let topologies: Vec<Vec<Position>> = vec![
-            // Stations on cell edges, pairs at the keep radius.
-            edge_lattice,
+        let densifying_chain: Vec<Position> = (0..48)
+            .map(|i| Position::on_line(i as f64 * 2_500.0))
+            .collect();
+        let topologies: Vec<(&str, Vec<Position>)> = vec![
+            ("edge lattice", edge_lattice),
             // A long chain with a finite horizon partway down it.
-            (0..120)
-                .map(|i| Position::on_line(i as f64 * 140.0))
-                .collect(),
+            (
+                "chain120",
+                (0..120)
+                    .map(|i| Position::on_line(i as f64 * 140.0))
+                    .collect(),
+            ),
             // An irregular disk wider than the horizon.
-            spiral(150, 9_000.0),
+            ("spiral150", spiral(150, 9_000.0)),
             // Two clusters with a gulf between them.
-            (0..30)
-                .map(|i| Position {
-                    x: (i % 6) as f64 * 55.0 + if i >= 15 { 30_000.0 } else { 0.0 },
-                    y: (i / 6 % 3) as f64 * 70.0,
-                })
-                .collect(),
-            // Degenerate: everyone in (nearly) one spot.
-            (0..8).map(|i| Position::on_line(i as f64 * 0.25)).collect(),
-        ];
-        // Checks one medium against the exhaustive reference at its
-        // *current* positions: sets, per-link bits, culled count.
-        fn assert_matches_exhaustive(m: &Medium, config: &MediumConfig, tag: &str) {
-            let positions = m.positions().to_vec();
-            let (sets, links) = exhaustive(&positions, config);
-            let mut kept = 0usize;
-            for (tx, set) in sets.iter().enumerate() {
-                let tx = NodeId(tx as u32);
-                assert_eq!(m.audible_set(tx), set.as_slice(), "{tag} set of {tx:?}");
-                for &rx in set {
-                    let (d, pl) = m.link(tx, rx);
-                    assert_eq!(
-                        (d.0.to_bits(), pl.0.to_bits()),
-                        links[kept],
-                        "{tag} link {tx:?}->{rx:?}"
-                    );
-                    kept += 1;
-                }
-            }
-            assert_eq!(
-                m.culled_link_count(),
-                positions.len() * (positions.len() - 1) - kept,
-                "{tag} culled count"
-            );
-        }
-
-        for positions in &topologies {
-            for cull in culls {
-                let day = DayProfile::clear();
-                let config = MediumConfig {
-                    path_loss: far_model,
-                    day: day.clone(),
-                    propagation_delay: SimDuration::from_micros(1),
-                    cull,
-                };
-                let mut m = Medium::new(
-                    positions.clone(),
-                    Shadowing::new(day, SimRng::from_seed(9)),
-                    config.clone(),
-                );
-                assert_matches_exhaustive(&m, &config, &format!("{cull:?} static"));
-                // Post-move incremental state: arbitrary displacement
-                // sequences (large jumps, sign flips, diagonal drift)
-                // must leave the medium exactly what a full per-pair
-                // scan over the new positions would build — proving the
-                // grid candidate superset stays correct as stations
-                // leave their construction-time cells (and the original
-                // bounding box).
-                let n = positions.len();
-                for epoch in 0..3usize {
-                    let mut moves = Vec::new();
-                    for i in (epoch % 3..n).step_by(3) {
-                        let p = m.positions()[i];
-                        let sign = if (i + epoch) % 2 == 0 { 1.0 } else { -1.0 };
-                        let dx = sign * (((i * 37 + epoch * 101) % 40) as f64) * 60.0;
-                        let dy = -sign * (((i * 13 + epoch * 59) % 30) as f64) * 45.0;
-                        moves.push((
-                            NodeId(i as u32),
-                            Position {
-                                x: p.x + dx,
-                                y: p.y + dy,
-                            },
-                        ));
-                    }
-                    m.commit_epoch(&moves);
-                    assert_matches_exhaustive(&m, &config, &format!("{cull:?} epoch {epoch}"));
-                }
-                // Exile every fourth station far outside the (now frozen)
-                // epoch grid's bounding box — past each side and corner —
-                // in pairs half a keep radius apart, so the clamped border
-                // cells must still pair them up and the interior cells
-                // must still see the stations left behind.
-                let (lo_x, hi_x, lo_y, hi_y) = m.positions().iter().fold(
-                    (
-                        f64::INFINITY,
-                        f64::NEG_INFINITY,
-                        f64::INFINITY,
-                        f64::NEG_INFINITY,
-                    ),
-                    |(a, b, c, d), p| (a.min(p.x), b.max(p.x), c.min(p.y), d.max(p.y)),
-                );
-                let span = (hi_x - lo_x).max(hi_y - lo_y).max(r);
-                let exiles: Vec<(NodeId, Position)> = (0..n)
-                    .step_by(4)
-                    .enumerate()
-                    .map(|(k, i)| {
-                        let far = 2.0 * span + (k / 8) as f64 * 3.0 * r;
-                        let mut at = match (k / 2) % 4 {
-                            0 => Position {
-                                x: hi_x + far,
-                                y: lo_y,
-                            },
-                            1 => Position {
-                                x: lo_x - far,
-                                y: hi_y,
-                            },
-                            2 => Position {
-                                x: hi_x + far,
-                                y: hi_y + far,
-                            },
-                            _ => Position {
-                                x: lo_x,
-                                y: lo_y - far,
-                            },
-                        };
-                        if k % 2 == 1 {
-                            at.x += 0.3 * r;
-                            at.y += 0.4 * r;
-                        }
-                        (NodeId(i as u32), at)
+            (
+                "clusters",
+                (0..30)
+                    .map(|i| Position {
+                        x: (i % 6) as f64 * 55.0 + if i >= 15 { 30_000.0 } else { 0.0 },
+                        y: (i / 6 % 3) as f64 * 70.0,
                     })
-                    .collect();
-                m.commit_epoch(&exiles);
-                assert_matches_exhaustive(&m, &config, &format!("{cull:?} exiled"));
+                    .collect(),
+            ),
+            // Degenerate: everyone in (nearly) one spot.
+            (
+                "huddle",
+                (0..8).map(|i| Position::on_line(i as f64 * 0.25)).collect(),
+            ),
+            ("densifying chain48", densifying_chain),
+            ("empty", Vec::new()),
+            ("lone station", vec![Position { x: 3.0, y: -4.0 }]),
+        ];
+        let mut schedule = vec![MoveSet::Idle];
+        schedule.extend([MoveSet::Jump; 3]);
+        schedule.extend([MoveSet::Contract; 6]);
+        schedule.extend([MoveSet::Expand, MoveSet::Idle]);
+        for (name, positions) in &topologies {
+            for cull in culls {
+                let tag = format!("{name} {cull:?}");
+                let mut m = Medium::new(positions.clone(), shadowing(), config(cull));
+                let mut o = oracle_new(positions.clone(), shadowing(), config(cull));
+                assert_matches_oracle(&m, &o, &format!("{tag} built"));
+                let tx_power = match cull {
+                    CullPolicy::Audible { tx_power, .. } => tx_power,
+                    CullPolicy::Full => Dbm(15.0),
+                };
+                let (mut saw_splice, mut saw_compaction, mut saw_partial_compaction) =
+                    (false, false, false);
+                for (epoch, &set) in schedule.iter().enumerate() {
+                    let tag = format!("{tag} epoch {epoch} {set:?}");
+                    let moves = moves_for(set, epoch, &m, positions);
+                    let capacity: Vec<usize> = m
+                        .audible_offsets
+                        .windows(2)
+                        .map(|w| (w[1] - w[0]) as usize)
+                        .collect();
+                    let (live, sampled) = (m.live_links, m.shadowing.initialised_slots());
+                    let churn = m.commit_epoch(&moves);
+                    assert_eq!(
+                        churn,
+                        oracle_commit(&mut o, &moves, &capacity),
+                        "{tag} churn"
+                    );
+                    assert_matches_oracle(&m, &o, &tag);
+                    saw_splice |= churn.compactions == 0 && churn.links_recomputed > 0;
+                    saw_compaction |= churn.compactions > 0;
+                    saw_partial_compaction |=
+                        churn.compactions > 0 && 0 < sampled && sampled < live;
+                    for f in 0..4 {
+                        if positions.is_empty() {
+                            break;
+                        }
+                        let now = SimTime::from_micros((epoch as u64 * 4 + f) * 700 + 1);
+                        let src =
+                            NodeId(((epoch as u64 * 7 + f * 13) % positions.len() as u64) as u32);
+                        let (id_m, _, dm) =
+                            m.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
+                        let (id_o, _, d_o) =
+                            o.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
+                        assert_eq!(id_m, id_o);
+                        assert_eq!(dm.len(), d_o.len(), "{tag} frame {f}");
+                        for ((rx_m, sm), (rx_o, so)) in dm.iter().zip(&d_o) {
+                            assert_eq!(rx_m, rx_o);
+                            assert_eq!(
+                                sm.rx_power.0.to_bits(),
+                                so.rx_power.0.to_bits(),
+                                "{tag} frame {f} {rx_m:?}"
+                            );
+                        }
+                    }
+                }
+                if *name == "densifying chain48"
+                    && matches!(cull, CullPolicy::Audible { tx_power, .. } if tx_power.0 > 0.0)
+                {
+                    assert!(saw_splice, "{tag}: some commit should splice in place");
+                    assert!(saw_compaction, "{tag}: the densifying chain should compact");
+                    assert!(
+                        saw_partial_compaction,
+                        "{tag}: a compaction should remap a partly sampled store"
+                    );
+                }
             }
         }
     }
@@ -2000,10 +1997,9 @@ mod tests {
                 },
             },
         );
-        let grid = CellGrid::new(&positions, m.cull_radius);
         let mut examined = 0usize;
         for p in &positions {
-            grid.for_each_neighbour(p, |_| examined += 1);
+            m.grid.for_each_neighbour(p, |_| examined += 1);
         }
         // Every station's scan also visits the station itself.
         examined -= positions.len();
@@ -2065,165 +2061,6 @@ mod tests {
         }
         assert!(expect > 0);
         assert_eq!(m.shadowing.initialised_slots(), expect);
-    }
-
-    /// The incremental epoch commit must be indistinguishable — bit for
-    /// bit — from tearing the medium down and rebuilding it at the new
-    /// positions: same audible sets, same cached link cells, same
-    /// shadowing trajectories (probed by interleaved transmissions that
-    /// consume RNG state between epochs), same churn counters. Covers a
-    /// drifting disk, a chain with a moved block (which densifies until
-    /// a slice outgrows its capacity and forces a compaction), and the
-    /// degenerate full-fanout / nothing-kept culls.
-    #[test]
-    fn incremental_epochs_match_rebuild_bitwise() {
-        fn assert_same_state(inc: &Medium, reb: &Medium, tag: &str) {
-            assert_eq!(inc.station_count(), reb.station_count());
-            assert_eq!(inc.culled_link_count(), reb.culled_link_count(), "{tag}");
-            assert_eq!(inc.max_audible_count(), reb.max_audible_count(), "{tag}");
-            assert_eq!(inc.next_tx, reb.next_tx, "{tag}");
-            for t in 0..inc.station_count() {
-                let tx = NodeId(t as u32);
-                assert_eq!(inc.audible_set(tx), reb.audible_set(tx), "{tag} set {tx:?}");
-                for &rx in inc.audible_set(tx) {
-                    let (si, sr) = (inc.slot_of(tx, rx).unwrap(), reb.slot_of(tx, rx).unwrap());
-                    let (di, pi) = inc.slot_links[si];
-                    let (dr, pr) = reb.slot_links[sr];
-                    assert_eq!(di.0.to_bits(), dr.0.to_bits(), "{tag} {tx:?}->{rx:?} d");
-                    assert_eq!(pi.0.to_bits(), pr.0.to_bits(), "{tag} {tx:?}->{rx:?} pl");
-                    assert_eq!(
-                        inc.shadowing.slot_is_init(si),
-                        reb.shadowing.slot_is_init(sr),
-                        "{tag} {tx:?}->{rx:?} shadowing state"
-                    );
-                }
-                assert_eq!(
-                    inc.shadowing.initialised_slots(),
-                    reb.shadowing.initialised_slots(),
-                    "{tag}"
-                );
-            }
-        }
-
-        let culls = [
-            CullPolicy::Audible {
-                tx_power: Dbm(15.0),
-                noise_floor: Dbm(-96.6),
-                margin: Db(CULL_MARGIN_DB),
-            },
-            CullPolicy::Full,
-            CullPolicy::Audible {
-                tx_power: Dbm(-400.0),
-                noise_floor: Dbm(-96.6),
-                margin: Db(0.0),
-            },
-        ];
-        let topologies: Vec<Vec<Position>> = vec![
-            spiral(60, 9_000.0),
-            (0..48)
-                .map(|i| Position::on_line(i as f64 * 2_500.0))
-                .collect(),
-        ];
-        for positions in &topologies {
-            for cull in culls {
-                let day = DayProfile::clear();
-                let mk = || {
-                    Medium::new(
-                        positions.clone(),
-                        Shadowing::new(day.clone(), SimRng::from_seed(33)),
-                        MediumConfig {
-                            path_loss: LogDistance::anchored_at_free_space_1m(3.0).into(),
-                            day: day.clone(),
-                            propagation_delay: SimDuration::from_micros(1),
-                            cull,
-                        },
-                    )
-                };
-                let mut inc = mk();
-                let mut reb = mk();
-                let n = positions.len();
-                let mut saw_compaction = false;
-                // A compaction that relocated a partly sampled store:
-                // some slots live, some never touched.
-                let mut saw_partial_compaction = false;
-                for epoch in 0..6usize {
-                    // ~10% of stations drift toward the field's center —
-                    // densification that eventually overflows some CSR
-                    // slice — plus one no-op move and one duplicate to
-                    // exercise the move-plan validation.
-                    let mut moves = Vec::new();
-                    for i in (epoch % 10..n).step_by(10) {
-                        let p = inc.positions()[i];
-                        moves.push((
-                            NodeId(i as u32),
-                            Position {
-                                x: p.x * 0.45,
-                                y: p.y * 0.45 + 80.0,
-                            },
-                        ));
-                    }
-                    let anchor = inc.positions()[(epoch + 1) % n];
-                    moves.push((NodeId(((epoch + 1) % n) as u32), anchor));
-                    if let Some(&first) = moves.first() {
-                        moves.push(first);
-                    }
-                    let (live, sampled) = (inc.live_links, inc.shadowing.initialised_slots());
-                    let ci = inc.commit_epoch(&moves);
-                    let cr = reb.commit_epoch_rebuild(&moves);
-                    saw_compaction |= ci.compactions > 0;
-                    saw_partial_compaction |= ci.compactions > 0 && 0 < sampled && sampled < live;
-                    assert_eq!(
-                        EpochChurn {
-                            compactions: 0,
-                            ..ci
-                        },
-                        cr,
-                        "churn diverged ({cull:?} epoch {epoch})"
-                    );
-                    assert_same_state(&inc, &reb, &format!("{cull:?} epoch {epoch}"));
-                    // Consume shadowing state on both sides between
-                    // epochs so survivors' RNG positions are live state,
-                    // not fresh draws — the deliveries must stay
-                    // bitwise equal.
-                    let tx_power = if matches!(cull, CullPolicy::Audible { tx_power, .. } if tx_power.0 < 0.0)
-                    {
-                        Dbm(-400.0)
-                    } else {
-                        Dbm(15.0)
-                    };
-                    for f in 0..4u64 {
-                        let now = SimTime::from_micros((epoch as u64 * 4 + f) * 700 + 1);
-                        let src = NodeId(((epoch as u64 * 7 + f * 13) % n as u64) as u32);
-                        let (ia, _, da) =
-                            inc.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
-                        let (ib, _, db) =
-                            reb.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
-                        assert_eq!(ia, ib);
-                        assert_eq!(da.len(), db.len(), "{cull:?} epoch {epoch} frame {f}");
-                        for ((rxa, sa), (rxb, sb)) in da.iter().zip(&db) {
-                            assert_eq!(rxa, rxb);
-                            assert_eq!(
-                                sa.rx_power.0.to_bits(),
-                                sb.rx_power.0.to_bits(),
-                                "{cull:?} epoch {epoch} frame {f} {rxa:?}"
-                            );
-                        }
-                    }
-                }
-                if matches!(cull, CullPolicy::Audible { tx_power, .. } if tx_power.0 > 0.0)
-                    && n == 48
-                {
-                    assert!(
-                        saw_compaction,
-                        "the densifying chain should overflow a slice and compact"
-                    );
-                    assert!(
-                        saw_partial_compaction,
-                        "a compaction should remap a partly initialised slot store"
-                    );
-                }
-            }
-        }
     }
 
     /// Move-plan validation: empty commits, bit-identical no-ops and

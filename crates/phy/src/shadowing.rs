@@ -436,7 +436,8 @@ impl Shadowing {
     // substream label, the slow-then-fast draw order, the AR(1) advance)
     // is untouched, and `init_link_state` is a pure function of
     // `(master, tx, rx)` — which together are what make an incremental
-    // epoch bitwise-identical to a from-scratch rebuild.
+    // epoch bitwise-identical to building the medium afresh at the new
+    // positions and transplanting every unmoved pair's state.
 
     /// Removes and returns the state of dense slot `slot`.
     pub(crate) fn take_slot(&mut self, slot: usize) -> SlotEntry {
@@ -486,28 +487,6 @@ impl Shadowing {
             !moved.get(a.index()).copied().unwrap_or(false)
                 && !moved.get(b.index()).copied().unwrap_or(false)
         });
-    }
-
-    /// Moves every HashMap-backed link of `other` into `self` (the
-    /// rebuild reference path transplants surviving fallback state into
-    /// the freshly constructed process).
-    pub(crate) fn adopt_links_from(&mut self, other: &mut Shadowing) {
-        self.links.extend(other.links.drain());
-    }
-
-    /// A fresh process with the same profile and (already-salted) master
-    /// stream but no link state — what a from-scratch reconstruction of
-    /// the owning `Medium` starts from. Cloning the master directly is
-    /// deliberate: `Shadowing::new` already applied the profile salt, so
-    /// re-deriving through it would double-salt the stream.
-    pub(crate) fn fresh_like(&self) -> Shadowing {
-        Shadowing {
-            profile: self.profile.clone(),
-            master: self.master.clone(),
-            links: HashMap::new(),
-            slots: SlotStore::with_len(0),
-            ar1_memo: None,
-        }
     }
 }
 

@@ -81,10 +81,8 @@ pub enum SweepScenario {
     },
     /// Mobile large topology: a [`SweepScenario::RandomDisk`] field whose
     /// stations walk the random-waypoint model (PR 10's mobility family).
-    /// Epoch commits re-derive only the moved stations' link state; the
-    /// run report is bitwise-independent of the incremental-vs-rebuild
-    /// commit mode, so neither the mode nor the thread count enters the
-    /// cell key.
+    /// Epoch commits re-derive only the moved stations' link state, and
+    /// the thread count does not enter the cell key.
     MobileDisk {
         /// Number of stations (≥ 6).
         n: u32,

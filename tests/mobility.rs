@@ -1,17 +1,18 @@
-//! Mobility equivalence: the incremental epoch path must be
-//! **byte-identical** to rebuilding the medium from scratch at every
-//! epoch — the same discipline as the cull-invisibility and
-//! sharded-vs-serial proofs.
+//! Mobile runs are pinned byte for byte: each scenario's full
+//! deterministic report — flow observables, per-node counters, event-kind
+//! histogram, queue high-water, and the link-churn totals themselves — is
+//! hashed with [`StableHasher`] and compared against a committed digest.
 //!
-//! `MobilityConfig::rebuild_epochs` selects the reference mode: identical
-//! movement model, identical schedule, but every `TopologyUpdate` tears
-//! the medium down and reconstructs it at the new positions (transplanting
-//! the unmoved links' cached state and RNG substreams). These tests run
-//! every mobile scenario both ways and compare the full deterministic
-//! report — flow observables, per-node counters, event-kind histogram,
-//! queue high-water, and the link-churn totals themselves.
+//! The digests were recorded when every epoch could also be committed by
+//! tearing the medium down and rebuilding it at the new positions
+//! (transplanting the unmoved links' cached state and RNG substreams),
+//! and the incremental and rebuilt reports were asserted equal; so each
+//! digest is the rebuild's output. The medium's unit tests check every
+//! epoch commit against a brute-force oracle; these pins check that
+//! whole runs still produce the same bytes.
 
 use desim::SimDuration;
+use dot11_testbed::adhoc::hash::StableHasher;
 use dot11_testbed::adhoc::mobility::parse_trace;
 use dot11_testbed::adhoc::stats::MobilityStats;
 use dot11_testbed::adhoc::{MobilityConfig, RunReport, Scenario, ScenarioBuilder, Traffic};
@@ -68,47 +69,41 @@ fn report_json(r: &RunReport) -> String {
     )
 }
 
-/// Runs `mk`'s scenario with incremental epoch commits and with
-/// rebuild-per-epoch commits and asserts byte-identical reports; returns
-/// the incremental run's report for further assertions.
-fn assert_commit_mode_invariant(
-    label: &str,
-    mk: impl Fn(MobilityConfig) -> Scenario,
-    mobility: MobilityConfig,
-) -> RunReport {
-    let incremental = mk(mobility.clone().with_rebuild_epochs(false)).run();
-    let rebuilt = mk(mobility.with_rebuild_epochs(true)).run();
-    assert_eq!(
-        report_json(&incremental),
-        report_json(&rebuilt),
-        "{label}: incremental epochs diverged from the rebuild reference"
-    );
+/// Runs `scenario` and asserts that its [`report_json`] hashes to
+/// `digest`; returns the report for further assertions.
+fn assert_report_pinned(label: &str, scenario: Scenario, digest: u64) -> RunReport {
+    let report = scenario.run();
     assert!(
-        incremental.engine.mobility.epochs > 0,
+        report.engine.mobility.epochs > 0,
         "{label}: the run never committed an epoch"
     );
-    incremental
+    let mut h = StableHasher::new();
+    h.write_str(&report_json(&report));
+    assert_eq!(
+        h.finish(),
+        digest,
+        "{label}: report diverged from its pinned digest"
+    );
+    report
 }
 
 /// Random waypoint on the disk — the headline mobile scenario family.
 /// Fast walkers and a short epoch give every commit a real moved set.
 #[test]
-fn waypoint_disk_incremental_matches_rebuild() {
+fn waypoint_disk_report_is_pinned() {
     let mobility = MobilityConfig::waypoint(50.0).with_epoch(SimDuration::from_millis(100));
-    let report = assert_commit_mode_invariant(
+    let report = assert_report_pinned(
         "waypoint disk24",
-        |m| {
-            ScenarioBuilder::new(PhyRate::R2)
-                .random_disk(24, 2_000.0, 7)
-                .seed(42)
-                .duration(SimDuration::from_secs(1))
-                .warmup(SimDuration::from_millis(200))
-                .flow(0, 1, SATURATED)
-                .flow(2, 3, SATURATED)
-                .mobility(m)
-                .build()
-        },
-        mobility,
+        ScenarioBuilder::new(PhyRate::R2)
+            .random_disk(24, 2_000.0, 7)
+            .seed(42)
+            .duration(SimDuration::from_secs(1))
+            .warmup(SimDuration::from_millis(200))
+            .flow(0, 1, SATURATED)
+            .flow(2, 3, SATURATED)
+            .mobility(mobility)
+            .build(),
+        0xddfb_a8c3_8309_60e1,
     );
     assert_eq!(report.engine.mobility.epochs, 10);
     assert_eq!(report.engine.kinds.topology_update, 10);
@@ -118,7 +113,7 @@ fn waypoint_disk_incremental_matches_rebuild() {
 /// Trace playback: one station of a five-station chain walks away and
 /// back on an explicit piecewise-linear track.
 #[test]
-fn trace_playback_incremental_matches_rebuild() {
+fn trace_playback_report_is_pinned() {
     let trace = parse_trace(
         "# station 2 wanders north and returns; station 4 drifts east\n\
          0.0 2 400 0\n\
@@ -129,19 +124,17 @@ fn trace_playback_incremental_matches_rebuild() {
     )
     .expect("trace parses");
     let mobility = MobilityConfig::trace(trace).with_epoch(SimDuration::from_millis(50));
-    let report = assert_commit_mode_invariant(
+    let report = assert_report_pinned(
         "trace chain5",
-        |m| {
-            ScenarioBuilder::new(PhyRate::R2)
-                .chain(5, 200.0)
-                .seed(9)
-                .duration(SimDuration::from_millis(900))
-                .warmup(SimDuration::from_millis(100))
-                .flow(0, 4, SATURATED)
-                .mobility(m)
-                .build()
-        },
-        mobility,
+        ScenarioBuilder::new(PhyRate::R2)
+            .chain(5, 200.0)
+            .seed(9)
+            .duration(SimDuration::from_millis(900))
+            .warmup(SimDuration::from_millis(100))
+            .flow(0, 4, SATURATED)
+            .mobility(mobility)
+            .build(),
+        0x9c46_9a5c_f44b_5cf6,
     );
     // Two stations move every epoch (the tracks never pause inside the
     // run), the other three never do.
@@ -153,7 +146,7 @@ fn trace_playback_incremental_matches_rebuild() {
 /// dragged far off the line and back by a trace — audible sets churn
 /// hard, the relay flow keeps running throughout.
 #[test]
-fn moved_chain_incremental_matches_rebuild() {
+fn moved_chain_report_is_pinned() {
     let mut trace = String::new();
     for (i, node) in (6..10u32).enumerate() {
         let x = node as f64 * 140.0;
@@ -166,19 +159,17 @@ fn moved_chain_incremental_matches_rebuild() {
     }
     let mobility = MobilityConfig::trace(parse_trace(&trace).expect("trace parses"))
         .with_epoch(SimDuration::from_millis(100));
-    assert_commit_mode_invariant(
+    assert_report_pinned(
         "moved chain16",
-        |m| {
-            ScenarioBuilder::new(PhyRate::R2)
-                .chain(16, 140.0)
-                .seed(5)
-                .duration(SimDuration::from_millis(800))
-                .warmup(SimDuration::from_millis(100))
-                .flow(0, 15, SATURATED)
-                .mobility(m)
-                .build()
-        },
-        mobility,
+        ScenarioBuilder::new(PhyRate::R2)
+            .chain(16, 140.0)
+            .seed(5)
+            .duration(SimDuration::from_millis(800))
+            .warmup(SimDuration::from_millis(100))
+            .flow(0, 15, SATURATED)
+            .mobility(mobility)
+            .build(),
+        0x644b_b257_8db7_8666,
     );
 }
 
@@ -186,7 +177,8 @@ fn moved_chain_incremental_matches_rebuild() {
 /// scenario and seed they are pinned values, not statistics. (The update
 /// that breaks this either changed the movement model, the epoch
 /// schedule, or the incremental path's dirty-set computation — all of
-/// which the goldens and the rebuild-identity tests triangulate.)
+/// which the goldens, the report digests and the medium's oracle test
+/// triangulate.)
 #[test]
 fn churn_counters_are_pinned_per_seed() {
     let run = |seed: u64| {
