@@ -190,6 +190,12 @@ pub struct EngineStats {
     /// so frames skip them (0 on mobile scenarios, which are not
     /// classified).
     pub deaf_stations: u64,
+    /// Directed links (CSR entries) the medium stored at construction:
+    /// Σ audible-set size over the stations whose audible slice was
+    /// built. That is the transmitter set on a static scenario with
+    /// silent stations, and every station otherwise (mobile scenarios,
+    /// and worlds where every station may transmit).
+    pub links_built: u64,
     /// Simulated time covered by the run.
     pub sim_elapsed: SimDuration,
     /// Wall-clock time the run took.
@@ -421,6 +427,7 @@ mod tests {
                 queue_high_water: 7,
                 deliveries: 0,
                 deaf_stations: 0,
+                links_built: 0,
                 sim_elapsed: SimDuration::from_secs(10),
                 wall: std::time::Duration::from_millis(20),
                 profile: None,
@@ -516,6 +523,7 @@ mod tests {
             queue_high_water: 1,
             deliveries: 0,
             deaf_stations: 0,
+            links_built: 0,
             sim_elapsed: SimDuration::from_secs(1),
             wall: std::time::Duration::ZERO,
             profile: None,
@@ -546,6 +554,7 @@ mod tests {
             queue_high_water: 1,
             deliveries: 0,
             deaf_stations: 0,
+            links_built: 0,
             sim_elapsed: SimDuration::from_secs(1),
             wall: std::time::Duration::from_nanos(200),
             profile: Some(desim::ProbeReport {

@@ -136,7 +136,8 @@ pub struct Medium {
     /// receivers are the first `audible_lens[t]` entries of
     /// `audible[audible_offsets[t] .. audible_offsets[t+1]]`, in station
     /// order, never containing `t` itself. Under [`CullPolicy::Full`]
-    /// this is "everyone else". Construction packs the slices
+    /// this is "everyone else". A station whose slice is not built (see
+    /// `built`) has an empty range. Construction packs the slices
     /// tight (`audible_lens[t] == audible_offsets[t+1] −
     /// audible_offsets[t]`); an epoch compaction re-lays the arrays with
     /// per-station slack so later [`Medium::commit_epoch`] splices stay
@@ -155,6 +156,11 @@ pub struct Medium {
     /// The spatial index over current positions: built by
     /// [`Medium::new`], its movers re-binned by every epoch commit.
     grid: BucketGrid,
+    /// One flag per station, `true` where its audible slice is stored;
+    /// `None` when every slice is — the only shape
+    /// [`Medium::commit_epoch`] accepts. Set by
+    /// [`Medium::for_transmitters`].
+    built: Option<Vec<bool>>,
     /// Dense per-station flag: receivers [`Medium::transmit_into`] skips
     /// (set by [`Medium::elide_receivers`]; all `false` otherwise).
     elided: Vec<bool>,
@@ -462,25 +468,24 @@ impl BucketGrid {
     }
 }
 
-/// Computes station `tx`'s audible slice from the current positions —
-/// grid-bounded candidates, the exact `d ≤ radius` filter (debug
-/// cross-checked against the full predicate), sorted into station order.
-/// The single slice routine shared by [`Medium::new`] and
-/// [`Medium::commit_epoch`]: an epoch-recomputed slice is byte-identical
-/// to what construction over the same positions would build. With an
-/// infinite radius every candidate passes, and the cached distance
-/// `sqrt(d_sq)` is bit for bit [`Position::distance_to`].
+/// Visits every station in `tx`'s audible set at the current positions,
+/// with its distance, in grid order: grid-bounded candidates through the
+/// exact `d ≤ radius` filter (debug cross-checked against the full
+/// predicate). The one keep test behind every audible slice and every
+/// count: [`compute_audible_slice`] collects what it visits, and
+/// [`Medium::audible_count`] counts it for stations whose slice is not
+/// built. With an infinite radius every candidate passes, and the
+/// distance `sqrt(d_sq)` is bit for bit [`Position::distance_to`].
 // `config` only feeds the debug cross-check below.
 #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-fn compute_audible_slice(
+fn for_each_audible(
     positions: &[Position],
     config: &MediumConfig,
     radius: f64,
     grid: &BucketGrid,
     tx: usize,
-    scratch: &mut Vec<(u32, f64)>,
+    mut keep: impl FnMut(u32, f64),
 ) {
-    scratch.clear();
     // A candidate whose squared distance clears this bound is beyond the
     // radius for certain (the 1e-9 relative slack dwarfs the rounding of
     // the square and of the root), so it is rejected before the root;
@@ -516,16 +521,47 @@ fn compute_audible_slice(
         }
         let d = d_sq.sqrt();
         if d <= radius {
-            scratch.push((rx, d));
+            keep(rx, d);
         }
+    });
+}
+
+/// Computes station `tx`'s audible slice from the current positions:
+/// [`for_each_audible`]'s receivers, sorted into station order. The
+/// single slice routine shared by [`Medium::new`] and
+/// [`Medium::commit_epoch`]: an epoch-recomputed slice is byte-identical
+/// to what construction over the same positions would build.
+fn compute_audible_slice(
+    positions: &[Position],
+    config: &MediumConfig,
+    radius: f64,
+    grid: &BucketGrid,
+    tx: usize,
+    scratch: &mut Vec<(u32, f64)>,
+) {
+    scratch.clear();
+    for_each_audible(positions, config, radius, grid, tx, |rx, d| {
+        scratch.push((rx, d));
     });
     // Neighbour cells are visited in grid order; the audible slice must
     // be in station order.
     scratch.sort_unstable_by_key(|&(rx, _)| rx);
 }
 
+/// Panics for a request that needs the audible slice of `tx`, which this
+/// medium did not build.
+#[cold]
+#[track_caller]
+fn unbuilt_slice(tx: NodeId, what: &str) -> ! {
+    panic!(
+        "{what}: station {} has no audible slice (this medium built only its transmitters' slices)",
+        tx.0
+    )
+}
+
 impl Medium {
-    /// Creates a medium over the given station positions.
+    /// Creates a medium over the given station positions, with every
+    /// station's audible slice built.
     ///
     /// Construction precomputes each transmitter's **audible set** under
     /// `config.cull`: the receivers whose best-case received power (TX
@@ -543,8 +579,51 @@ impl Medium {
     /// be inside it. Construction writes only membership and distances:
     /// path losses and shadowing state wait for a link's first sample, so
     /// a large field whose stations mostly never transmit pays for the
-    /// few slices that do.
-    pub fn new(positions: Vec<Position>, mut shadowing: Shadowing, config: MediumConfig) -> Medium {
+    /// few slices that do. [`Medium::for_transmitters`] goes further and
+    /// builds only the slices of the stations that can transmit.
+    pub fn new(positions: Vec<Position>, shadowing: Shadowing, config: MediumConfig) -> Medium {
+        Medium::build(positions, shadowing, config, None)
+    }
+
+    /// [`Medium::new`] building and storing the audible slices of only
+    /// the stations flagged in `transmitters` (one flag per station).
+    /// Every built slice, and every link state and draw derived from it,
+    /// is bit for bit what [`Medium::new`] builds: the same slice routine
+    /// runs over the same positions, and shadowing streams are keyed by
+    /// link, not by CSR slot. Other stations get an empty CSR range and
+    /// no shadowing slots; [`Medium::audible_count`] stays exact for them
+    /// through a count-only grid scan with the same keep test.
+    ///
+    /// Meant for a static world that enforces its transmitter set:
+    /// [`Medium::transmit_into`] and [`Medium::audible_set`] panic for a
+    /// station whose slice is not built, and so does
+    /// [`Medium::commit_epoch`] unless every flag is set (which builds
+    /// every slice, exactly as [`Medium::new`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transmitters.len()` differs from the station count.
+    pub fn for_transmitters(
+        positions: Vec<Position>,
+        shadowing: Shadowing,
+        config: MediumConfig,
+        transmitters: &[bool],
+    ) -> Medium {
+        assert_eq!(
+            transmitters.len(),
+            positions.len(),
+            "one transmitter flag per station"
+        );
+        let built = transmitters.contains(&false).then(|| transmitters.to_vec());
+        Medium::build(positions, shadowing, config, built)
+    }
+
+    fn build(
+        positions: Vec<Position>,
+        mut shadowing: Shadowing,
+        config: MediumConfig,
+        built: Option<Vec<bool>>,
+    ) -> Medium {
         let n = positions.len();
         let radius = match config.cull {
             CullPolicy::Full => f64::INFINITY,
@@ -567,10 +646,12 @@ impl Medium {
         audible_offsets.push(0u32);
         let mut scratch: Vec<(u32, f64)> = Vec::new();
         for tx in 0..n {
-            compute_audible_slice(&positions, &config, radius, &grid, tx, &mut scratch);
-            for &(rx, d) in &scratch {
-                audible.push(NodeId(rx));
-                slot_links.push((Meters(d), Db(UNFILLED)));
+            if built.as_ref().is_none_or(|b| b[tx]) {
+                compute_audible_slice(&positions, &config, radius, &grid, tx, &mut scratch);
+                for &(rx, d) in &scratch {
+                    audible.push(NodeId(rx));
+                    slot_links.push((Meters(d), Db(UNFILLED)));
+                }
             }
             audible_offsets.push(audible.len() as u32);
         }
@@ -590,9 +671,16 @@ impl Medium {
             live_links,
             cull_radius: radius,
             grid,
+            built,
             elided: vec![false; n],
             next_tx: 0,
         }
+    }
+
+    /// Whether station `tx`'s audible slice is stored.
+    #[inline]
+    fn is_built(&self, tx: usize) -> bool {
+        self.built.as_ref().is_none_or(|b| b[tx])
     }
 
     /// The live CSR slot range of transmitter `tx`'s audible slice —
@@ -674,18 +762,42 @@ impl Medium {
 
     /// The audible set of `tx`: the receivers `transmit_into` will
     /// scatter to (unless elided), in station order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `tx`, if its slice was not built (see
+    /// [`Medium::for_transmitters`]).
     pub fn audible_set(&self, tx: NodeId) -> &[NodeId] {
+        if !self.is_built(tx.index()) {
+            unbuilt_slice(tx, "audible_set");
+        }
         let (start, end) = self.slice_bounds(tx.index());
         &self.audible[start..end]
     }
 
-    /// Number of receivers in `tx`'s audible set.
+    /// Number of receivers in `tx`'s audible set, exact whether or not
+    /// its slice is built: O(1) for a built slice, a count-only grid scan
+    /// with the slice routine's keep test otherwise (O(neighbourhood),
+    /// nothing stored).
     pub fn audible_count(&self, tx: NodeId) -> usize {
-        self.audible_set(tx).len()
+        if self.is_built(tx.index()) {
+            return self.audible_lens[tx.index()] as usize;
+        }
+        let mut count = 0;
+        for_each_audible(
+            &self.positions,
+            &self.config,
+            self.cull_radius,
+            &self.grid,
+            tx.index(),
+            |_, _| count += 1,
+        );
+        count
     }
 
     /// The largest audible set over all transmitters — the most
-    /// deliveries any one frame can produce.
+    /// deliveries any one frame can produce. Counts every station, built
+    /// slice or not (see [`Medium::audible_count`]).
     pub fn max_audible_count(&self) -> usize {
         (0..self.positions.len())
             .map(|t| self.audible_count(NodeId(t as u32)))
@@ -699,9 +811,26 @@ impl Medium {
     /// paper-scale scenarios even under [`CullPolicy::Audible`], which is
     /// what makes culling physics-invisible there (asserted by the
     /// workspace `culling` tests).
+    ///
+    /// O(1) when every slice is built. On a medium built by
+    /// [`Medium::for_transmitters`] it counts each unbuilt station's set
+    /// with [`Medium::audible_count`]: O(unbuilt × degree). Only tests
+    /// and benches call it.
     pub fn culled_link_count(&self) -> usize {
         let n = self.positions.len();
-        n * n.saturating_sub(1) - self.live_links
+        let unbuilt: usize = (0..n)
+            .filter(|&t| !self.is_built(t))
+            .map(|t| self.audible_count(NodeId(t as u32)))
+            .sum();
+        n * n.saturating_sub(1) - self.live_links - unbuilt
+    }
+
+    /// Directed links whose state this medium stores: its live CSR
+    /// entries, Σ [`Medium::audible_count`] over the stations whose slice
+    /// is built. Right after construction this is the link count the
+    /// slice scan wrote.
+    pub fn built_link_count(&self) -> usize {
+        self.live_links
     }
 
     /// Classifies every station as **deaf** or listening, given the
@@ -727,7 +856,8 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics if `transmitters.len()` differs from the station count.
+    /// Panics if `transmitters.len()` differs from the station count, or,
+    /// naming the station, if a flagged transmitter's slice was not built.
     pub fn deaf_receivers(
         &self,
         transmitters: &[bool],
@@ -742,6 +872,9 @@ impl Medium {
         // receiver as listening and skips its remaining links.
         let mut best_sum_mw = vec![0.0f64; n];
         for tx in (0..n).filter(|&t| transmitters[t]) {
+            if !self.is_built(tx) {
+                unbuilt_slice(NodeId(tx as u32), "deaf_receivers");
+            }
             let (start, end) = self.slice_bounds(tx);
             for slot in start..end {
                 let rx = self.audible[slot];
@@ -791,7 +924,9 @@ impl Medium {
     /// must always advance its slot state here — the same one
     /// [`Medium::transmit_into`] advances — never a parallel HashMap
     /// entry; splitting a link across the two stores would fork its
-    /// random trajectory.
+    /// random trajectory. A pair without a slot (culled, or sent from a
+    /// station whose slice is not built) samples the HashMap store,
+    /// which realizes the same per-link stream bit for bit.
     pub fn rx_power(&mut self, tx: NodeId, rx: NodeId, tx_power: Dbm, now: SimTime) -> Dbm {
         match self.slot_of(tx, rx) {
             Some(slot) => {
@@ -817,6 +952,12 @@ impl Medium {
     /// hoisted to the caller, which recycles its buffers — a recycled
     /// buffer keeps the capacity its widest slice grew it to, so the
     /// steady-state path neither clears nor allocates here.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `source`, if its audible slice was not built (see
+    /// [`Medium::for_transmitters`]): the frame would otherwise silently
+    /// reach nobody.
     #[allow(clippy::too_many_arguments)] // the per-frame signature is flat on purpose
     pub fn transmit_into(
         &mut self,
@@ -848,6 +989,11 @@ impl Medium {
         let starts_at = now + self.config.propagation_delay;
         let ends_at = starts_at + airtime.total();
         let (start, end) = self.slice_bounds(source.index());
+        // Only an empty slice can be an unbuilt one, so a built medium
+        // pays one compare of bounds it already holds.
+        if start == end && !self.is_built(source.index()) {
+            unbuilt_slice(source, "transmit_into");
+        }
         // One pass over the contiguous audible slice: gain read, shadowing
         // advance, and power subtraction per receiver, with the slot index
         // doubling as the shadowing-state index (no per-receiver search or
@@ -914,7 +1060,9 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics if any moved [`NodeId`] is out of range.
+    /// Panics if any moved [`NodeId`] is out of range, if receivers are
+    /// elided, or if the medium was built for a transmitter subset
+    /// ([`Medium::for_transmitters`]).
     pub fn commit_epoch(&mut self, moves: &[(NodeId, Position)]) -> EpochChurn {
         let plan = self.apply_moves(moves);
         let mut churn = EpochChurn {
@@ -982,6 +1130,12 @@ impl Medium {
         assert!(
             !self.elided.contains(&true),
             "receiver elision requires static positions"
+        );
+        // A moved station's unbuilt slice could not be recomputed, nor
+        // the churn it defines counted.
+        assert!(
+            self.built.is_none(),
+            "epoch commits require every audible slice built"
         );
         let n = self.positions.len();
         let mut moved = vec![false; n];
@@ -1502,9 +1656,11 @@ mod tests {
     /// The brute-force O(N²) oracle for `Medium`'s link state: re-lays
     /// `m`'s CSR tight from the exact keep predicate on every pair at the
     /// current positions, touching neither the grid nor the keep radius.
-    /// A pair with an endpoint flagged in `moved` starts fresh — its
-    /// distance, no path loss, no shadowing state. Every other pair keeps
-    /// its old cell and shadowing state, relocated to its new slot.
+    /// Only the stations `m.built` flags get a slice (every station when
+    /// it is `None`); the rest get an empty range. A pair with an
+    /// endpoint flagged in `moved` starts fresh — its distance, no path
+    /// loss, no shadowing state. Every other pair keeps its old cell and
+    /// shadowing state, relocated to its new slot.
     fn oracle_relayout(m: &mut Medium, moved: &[bool]) {
         let n = m.positions.len();
         let mut audible = Vec::new();
@@ -1512,7 +1668,8 @@ mod tests {
         let mut offsets = vec![0u32];
         let mut slot_moves = Vec::new();
         for tx in 0..n {
-            for rx in (0..n).filter(|&rx| rx != tx) {
+            let receivers = if m.is_built(tx) { 0..n } else { 0..0 };
+            for rx in receivers.filter(|&rx| rx != tx) {
                 let d = m.positions[tx].distance_to(m.positions[rx]);
                 if !keeps(&m.config, d) {
                     continue;
@@ -1539,14 +1696,24 @@ mod tests {
         m.audible_offsets = offsets;
     }
 
-    /// The oracle's construction: every pair starts fresh. Only the link
-    /// state of the returned medium is the oracle's; its grid indexes no
-    /// station, so it must never commit an epoch itself.
-    fn oracle_new(positions: Vec<Position>, shadowing: Shadowing, config: MediumConfig) -> Medium {
+    /// The oracle's construction: every pair starts fresh, and only the
+    /// slices of the stations flagged in `transmitters` are laid (every
+    /// slice for `None` or an all-set mask). Only the link state of the
+    /// returned medium is the oracle's; its grid indexes no station, so
+    /// it must never commit an epoch or count an unbuilt slice itself.
+    fn oracle_new(
+        positions: Vec<Position>,
+        shadowing: Shadowing,
+        config: MediumConfig,
+        transmitters: Option<&[bool]>,
+    ) -> Medium {
         let n = positions.len();
         let mut m = Medium::new(Vec::new(), shadowing, config);
         m.positions = positions;
         m.elided = vec![false; n];
+        m.built = transmitters
+            .filter(|t| t.contains(&false))
+            .map(<[bool]>::to_vec);
         oracle_relayout(&mut m, &vec![true; n]);
         m
     }
@@ -1606,17 +1773,35 @@ mod tests {
     }
 
     /// Asserts that `m` holds the oracle's link state bit for bit: the
-    /// audible sets, every raw cached cell, every resolved (distance,
-    /// path loss) against a recomputation from positions, and every
-    /// link's shadowing init state.
+    /// built slices, the audible sets, every raw cached cell, every
+    /// resolved (distance, path loss) against a recomputation from
+    /// positions, and every link's shadowing init state; and that every
+    /// station's [`Medium::audible_count`], the largest count and the
+    /// culled-link count equal the keep predicate counted on every pair.
     fn assert_matches_oracle(m: &Medium, o: &Medium, tag: &str) {
         let bits = |(d, pl): (Meters, Db)| (d.0.to_bits(), pl.0.to_bits());
-        assert_eq!(m.station_count(), o.station_count(), "{tag}");
+        let n = m.station_count();
+        assert_eq!(n, o.station_count(), "{tag}");
         assert_eq!(m.next_tx, o.next_tx, "{tag}");
-        assert_eq!(m.culled_link_count(), o.culled_link_count(), "{tag}");
-        for t in 0..m.station_count() {
+        assert_eq!(m.built, o.built, "{tag} built slices");
+        let mut kept = 0;
+        let mut max_kept = 0;
+        for t in 0..n {
             let tx = NodeId(t as u32);
             assert_eq!(m.position(tx), o.position(tx), "{tag} position of {tx:?}");
+            let count = (0..n)
+                .filter(|&rx| {
+                    rx != t && keeps(&m.config, m.positions[t].distance_to(m.positions[rx]))
+                })
+                .count();
+            assert_eq!(m.audible_count(tx), count, "{tag} count of {tx:?}");
+            kept += count;
+            max_kept = max_kept.max(count);
+            if !m.is_built(t) {
+                let (start, end) = m.slice_bounds(t);
+                assert_eq!(start, end, "{tag} unbuilt {tx:?} holds slots");
+                continue;
+            }
             assert_eq!(m.audible_set(tx), o.audible_set(tx), "{tag} set of {tx:?}");
             for &rx in m.audible_set(tx) {
                 let (sm, so) = (m.slot_of(tx, rx).unwrap(), o.slot_of(tx, rx).unwrap());
@@ -1643,6 +1828,55 @@ mod tests {
             o.shadowing.initialised_slots(),
             "{tag}"
         );
+        assert_eq!(
+            m.culled_link_count(),
+            n * n.saturating_sub(1) - kept,
+            "{tag}"
+        );
+        assert_eq!(m.max_audible_count(), max_kept, "{tag}");
+    }
+
+    /// Sends one frame from `src` on both media and asserts bitwise-equal
+    /// deliveries: same transmission id, receivers and powers.
+    fn assert_same_frame(
+        a: &mut Medium,
+        b: &mut Medium,
+        src: NodeId,
+        tx_power: Dbm,
+        now: SimTime,
+        tag: &str,
+    ) {
+        let (id_a, _, da) = a.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
+        let (id_b, _, db) = b.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
+        assert_eq!(id_a, id_b, "{tag}");
+        assert_eq!(da.len(), db.len(), "{tag} frame from {src:?}");
+        for ((rx_a, sa), (rx_b, sb)) in da.iter().zip(&db) {
+            assert_eq!(rx_a, rx_b, "{tag}");
+            assert_eq!(
+                sa.rx_power.0.to_bits(),
+                sb.rx_power.0.to_bits(),
+                "{tag} frame from {src:?} at {rx_a:?}"
+            );
+        }
+    }
+
+    /// The transmitter masks every subset-construction check runs: none,
+    /// one station, a seeded random third, and all.
+    fn subset_masks(n: usize, seed: u64) -> Vec<(&'static str, Vec<bool>)> {
+        let mut rng = SimRng::from_seed(seed);
+        let mut one = vec![false; n];
+        if n > 0 {
+            one[n / 2] = true;
+        }
+        vec![
+            ("none", vec![false; n]),
+            ("one", one),
+            (
+                "random",
+                (0..n).map(|_| rng.gen_f64() < 1.0 / 3.0).collect(),
+            ),
+            ("all", vec![true; n]),
+        ]
     }
 
     /// One epoch's move set, drawn from `m`'s current positions.
@@ -1773,7 +2007,10 @@ mod tests {
     /// exactly at (and one ulp either side of) the keep radius, where the
     /// cell-skipping scan's slack must not cut a kept pair; an empty
     /// field and a lone station. The densifying chain sees both in-place
-    /// splices and a compaction of a partly sampled store.
+    /// splices and a compaction of a partly sampled store. Construction
+    /// for a transmitter subset ([`Medium::for_transmitters`], under every
+    /// mask of `subset_masks`) matches the oracle laid for that subset,
+    /// before and after frames from each built slice.
     #[test]
     fn medium_matches_brute_force_oracle_bitwise() {
         use crate::pathloss::DualSlope;
@@ -1886,13 +2123,31 @@ mod tests {
         for (name, positions) in &topologies {
             for cull in culls {
                 let tag = format!("{name} {cull:?}");
-                let mut m = Medium::new(positions.clone(), shadowing(), config(cull));
-                let mut o = oracle_new(positions.clone(), shadowing(), config(cull));
-                assert_matches_oracle(&m, &o, &format!("{tag} built"));
                 let tx_power = match cull {
                     CullPolicy::Audible { tx_power, .. } => tx_power,
                     CullPolicy::Full => Dbm(15.0),
                 };
+                for (mask_name, mask) in subset_masks(positions.len(), 19) {
+                    let tag = format!("{tag} built for {mask_name}");
+                    let mut m = Medium::for_transmitters(
+                        positions.clone(),
+                        shadowing(),
+                        config(cull),
+                        &mask,
+                    );
+                    let mut o =
+                        oracle_new(positions.clone(), shadowing(), config(cull), Some(&mask));
+                    assert_matches_oracle(&m, &o, &tag);
+                    let senders: Vec<usize> = (0..mask.len()).filter(|&t| mask[t]).collect();
+                    for (f, &src) in senders.iter().cycle().take(2 * senders.len()).enumerate() {
+                        let now = SimTime::from_micros(f as u64 * 700 + 1);
+                        assert_same_frame(&mut m, &mut o, NodeId(src as u32), tx_power, now, &tag);
+                    }
+                    assert_matches_oracle(&m, &o, &format!("{tag} after frames"));
+                }
+                let mut m = Medium::new(positions.clone(), shadowing(), config(cull));
+                let mut o = oracle_new(positions.clone(), shadowing(), config(cull), None);
+                assert_matches_oracle(&m, &o, &format!("{tag} built"));
                 let (mut saw_splice, mut saw_compaction, mut saw_partial_compaction) =
                     (false, false, false);
                 for (epoch, &set) in schedule.iter().enumerate() {
@@ -1922,20 +2177,14 @@ mod tests {
                         let now = SimTime::from_micros((epoch as u64 * 4 + f) * 700 + 1);
                         let src =
                             NodeId(((epoch as u64 * 7 + f * 13) % positions.len() as u64) as u32);
-                        let (id_m, _, dm) =
-                            m.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
-                        let (id_o, _, d_o) =
-                            o.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
-                        assert_eq!(id_m, id_o);
-                        assert_eq!(dm.len(), d_o.len(), "{tag} frame {f}");
-                        for ((rx_m, sm), (rx_o, so)) in dm.iter().zip(&d_o) {
-                            assert_eq!(rx_m, rx_o);
-                            assert_eq!(
-                                sm.rx_power.0.to_bits(),
-                                so.rx_power.0.to_bits(),
-                                "{tag} frame {f} {rx_m:?}"
-                            );
-                        }
+                        assert_same_frame(
+                            &mut m,
+                            &mut o,
+                            src,
+                            tx_power,
+                            now,
+                            &format!("{tag} frame {f}"),
+                        );
                     }
                 }
                 if *name == "densifying chain48"
@@ -1950,6 +2199,225 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Stations uniform on a disk of radius `radius` (m) drawn from `seed`.
+    fn random_disk(n: usize, radius: f64, seed: u64) -> Vec<Position> {
+        let mut rng = SimRng::from_seed(seed);
+        (0..n)
+            .map(|_| {
+                let r = radius * rng.gen_f64().sqrt();
+                let th = std::f64::consts::TAU * rng.gen_f64();
+                Position {
+                    x: r * th.cos(),
+                    y: r * th.sin(),
+                }
+            })
+            .collect()
+    }
+
+    /// Asserts that `sub`, built for a transmitter subset, holds exactly
+    /// what the all-built `full` holds for every slice `sub` built —
+    /// membership, raw (distance, path loss) cells, shadowing-slot init
+    /// state — and the same counts for every station, built or not.
+    fn assert_subset_matches_full(sub: &Medium, full: &Medium, tag: &str) {
+        let bits = |(d, pl): (Meters, Db)| (d.0.to_bits(), pl.0.to_bits());
+        let n = sub.station_count();
+        let mut built_links = 0;
+        for t in 0..n {
+            let tx = NodeId(t as u32);
+            assert_eq!(
+                sub.audible_count(tx),
+                full.audible_count(tx),
+                "{tag} count of {tx:?}"
+            );
+            if !sub.is_built(t) {
+                continue;
+            }
+            assert_eq!(
+                sub.audible_set(tx),
+                full.audible_set(tx),
+                "{tag} set of {tx:?}"
+            );
+            built_links += sub.audible_count(tx);
+            let ((s0, s1), (f0, _)) = (sub.slice_bounds(t), full.slice_bounds(t));
+            for (ss, fs) in (s0..s1).zip(f0..) {
+                let rx = sub.audible[ss];
+                assert_eq!(
+                    bits(sub.slot_links[ss]),
+                    bits(full.slot_links[fs]),
+                    "{tag} cell {tx:?}->{rx:?}"
+                );
+                assert_eq!(
+                    sub.shadowing.slot_is_init(ss),
+                    full.shadowing.slot_is_init(fs),
+                    "{tag} shadowing {tx:?}->{rx:?}"
+                );
+            }
+        }
+        assert_eq!(sub.built_link_count(), built_links, "{tag}");
+        assert_eq!(sub.max_audible_count(), full.max_audible_count(), "{tag}");
+        assert_eq!(sub.culled_link_count(), full.culled_link_count(), "{tag}");
+    }
+
+    /// Building only a transmitter subset's slices changes nothing any
+    /// caller can observe: on random fields, under every cull policy and
+    /// for every mask, each built slice matches the all-built medium's
+    /// bit for bit before and after frames are sent from it (path losses
+    /// filled, shadowing slots sampled), every station's audible count,
+    /// the largest count, the culled-link count and the deaf-receiver
+    /// classification match, and the frames' deliveries are bitwise
+    /// equal.
+    #[test]
+    fn subset_built_medium_matches_the_all_built_one() {
+        use crate::pathloss::DualSlope;
+
+        let config = |cull: CullPolicy| MediumConfig {
+            path_loss: DualSlope {
+                near: LogDistance::anchored_at_free_space_1m(2.42),
+                breakpoint: Meters(500.0),
+                far_exponent: 4.0,
+            }
+            .into(),
+            day: DayProfile::clear(),
+            propagation_delay: SimDuration::from_micros(1),
+            cull,
+        };
+        let shadowing = || Shadowing::new(DayProfile::clear(), SimRng::from_seed(71));
+        let culls = [
+            CullPolicy::Audible {
+                tx_power: Dbm(15.0),
+                noise_floor: Dbm(-96.6),
+                margin: Db(CULL_MARGIN_DB),
+            },
+            CullPolicy::Full,
+            CullPolicy::Audible {
+                tx_power: Dbm(-400.0),
+                noise_floor: Dbm(-96.6),
+                margin: Db(0.0),
+            },
+        ];
+        let fields = [
+            ("disk40 300 m", random_disk(40, 300.0, 1)),
+            ("disk90 6 km", random_disk(90, 6_000.0, 2)),
+            ("disk160 15 km", random_disk(160, 15_000.0, 3)),
+        ];
+        let (mut partly_culled_unbuilt, mut split_deafness) = (false, false);
+        for (name, positions) in &fields {
+            for cull in culls {
+                let tx_power = match cull {
+                    CullPolicy::Audible { tx_power, .. } => tx_power,
+                    CullPolicy::Full => Dbm(15.0),
+                };
+                for (mask_name, mask) in subset_masks(positions.len(), 23) {
+                    let tag = format!("{name} {cull:?} built for {mask_name}");
+                    let mut full = Medium::new(positions.clone(), shadowing(), config(cull));
+                    let mut sub = Medium::for_transmitters(
+                        positions.clone(),
+                        shadowing(),
+                        config(cull),
+                        &mask,
+                    );
+                    assert_eq!(sub.built.is_none(), !mask.contains(&false), "{tag}");
+                    assert_subset_matches_full(&sub, &full, &tag);
+                    let n = positions.len();
+                    partly_culled_unbuilt |= (0..n).any(|t| {
+                        !mask[t] && (1..n - 1).contains(&sub.audible_count(NodeId(t as u32)))
+                    });
+                    for cs_threshold in [Dbm(-101.5), Dbm(-80.0)] {
+                        let deaf = sub.deaf_receivers(&mask, tx_power, cs_threshold);
+                        assert_eq!(
+                            deaf,
+                            full.deaf_receivers(&mask, tx_power, cs_threshold),
+                            "{tag} deaf at {cs_threshold:?}"
+                        );
+                        split_deafness |=
+                            (0..n).any(|t| !mask[t] && !deaf[t]) && deaf.contains(&true);
+                    }
+                    let senders: Vec<usize> = (0..mask.len()).filter(|&t| mask[t]).collect();
+                    for (f, &src) in senders.iter().cycle().take(3 * senders.len()).enumerate() {
+                        let now = SimTime::from_micros(f as u64 * 900 + 1);
+                        assert_same_frame(
+                            &mut sub,
+                            &mut full,
+                            NodeId(src as u32),
+                            tx_power,
+                            now,
+                            &tag,
+                        );
+                    }
+                    assert_subset_matches_full(&sub, &full, &format!("{tag} after frames"));
+                }
+            }
+        }
+        assert!(
+            partly_culled_unbuilt,
+            "some unbuilt station should have a count strictly between 0 and n−1"
+        );
+        assert!(
+            split_deafness,
+            "some classification should split silent stations into deaf and listening"
+        );
+    }
+
+    /// A three-station Full-fanout medium built for `mask`.
+    fn subset_medium(mask: &[bool]) -> Medium {
+        let day = DayProfile::clear();
+        Medium::for_transmitters(
+            (0..3).map(|i| Position::on_line(i as f64 * 30.0)).collect(),
+            Shadowing::new(day.clone(), SimRng::from_seed(5)),
+            MediumConfig {
+                path_loss: LogDistance::anchored_at_free_space_1m(3.0).into(),
+                day,
+                propagation_delay: SimDuration::from_micros(1),
+                cull: CullPolicy::Full,
+            },
+            mask,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "transmit_into: station 1 has no audible slice")]
+    fn transmit_from_an_unbuilt_slice_panics() {
+        let mut m = subset_medium(&[true, false, true]);
+        m.transmit(
+            NodeId(0),
+            Dbm(15.0),
+            PhyRate::R2,
+            100,
+            Preamble::Long,
+            SimTime::ZERO,
+        );
+        m.transmit(
+            NodeId(1),
+            Dbm(15.0),
+            PhyRate::R2,
+            100,
+            Preamble::Long,
+            SimTime::ZERO,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "audible_set: station 2 has no audible slice")]
+    fn audible_set_of_an_unbuilt_slice_panics() {
+        let m = subset_medium(&[true, false, false]);
+        assert_eq!(m.audible_count(NodeId(2)), 2);
+        m.audible_set(NodeId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch commits require every audible slice built")]
+    fn epoch_commit_on_a_partly_built_medium_panics() {
+        let mut m = subset_medium(&[false, true, true]);
+        m.commit_epoch(&[(NodeId(1), Position::on_line(45.0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "deaf_receivers: station 0 has no audible slice")]
+    fn deaf_receivers_needs_every_transmitter_slice_built() {
+        let m = subset_medium(&[false, true, false]);
+        m.deaf_receivers(&[true, true, false], Dbm(15.0), Dbm(-101.5));
     }
 
     /// The cell-skipping scan's efficiency on the large-field shape: a

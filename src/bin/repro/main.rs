@@ -816,12 +816,13 @@ fn engine_json(e: &EngineStats) -> String {
     };
     format!(
         "{{\"events\":{},\"queue_high_water\":{},\"deliveries\":{},\"deaf_stations\":{},\
-         \"sim_elapsed_ns\":{},\"wall_ns\":{},\"speedup\":{:.1},\"events_per_sec\":{:.0},\
-         \"kinds\":{{{}}}{mobility}{profile}}}",
+         \"links_built\":{},\"sim_elapsed_ns\":{},\"wall_ns\":{},\"speedup\":{:.1},\
+         \"events_per_sec\":{:.0},\"kinds\":{{{}}}{mobility}{profile}}}",
         e.events,
         e.queue_high_water,
         e.deliveries,
         e.deaf_stations,
+        e.links_built,
         e.sim_elapsed.as_nanos(),
         e.wall.as_nanos(),
         e.speedup(),
@@ -1069,8 +1070,14 @@ mod tests {
         let e = cell.build(params, 1).run().engine;
         assert!(e.deliveries > 0);
         let json = engine_json(&e);
-        let expected = format!("\"deliveries\":{},\"deaf_stations\":0,", e.deliveries);
+        let expected = format!(
+            "\"deliveries\":{},\"deaf_stations\":0,\"links_built\":{},",
+            e.deliveries, e.links_built
+        );
         assert!(json.contains(&expected), "{json}");
+        // A four-station cell: every station transmits, so every slice
+        // is built and every pair is audible.
+        assert_eq!(e.links_built, 12);
     }
 
     /// Every station that transmits in a registry scenario is in its
