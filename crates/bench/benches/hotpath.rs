@@ -26,21 +26,23 @@ use dot11_adhoc::experiments::four_station::{scenario, FourStationLayout, Sessio
 use dot11_bench::{bench_config, Harness};
 use dot11_phy::{
     DayProfile, Medium, NodeId, PhyRate, PhyState, Position, Preamble, RadioConfig, Shadowing,
-    TxId, TxSignal,
+    StationRoles, TxId, TxSignal,
 };
 use dot11_sweep::{run_sweep, RunParams, SweepOptions, SweepScenario, SweepSpec};
 
 /// The four asymmetric-layout station positions as a `Medium`.
 fn four_station_medium() -> Medium {
-    let positions = FourStationLayout::AsymmetricAt11
+    let positions: Vec<Position> = FourStationLayout::AsymmetricAt11
         .positions()
         .iter()
         .map(|&x| Position { x, y: 0.0 })
         .collect();
+    let roles = StationRoles::unrestricted(positions.len());
     Medium::new(
         positions,
         Shadowing::new(DayProfile::clear(), SimRng::from_seed(7)),
         calibrated_medium_config(DayProfile::clear()),
+        &roles,
     )
 }
 

@@ -32,7 +32,7 @@ use desim::{SimDuration, SimRng};
 use dot11_bench::Harness;
 use dot11_phy::{
     CullPolicy, DayProfile, Db, Dbm, LogDistance, Medium, MediumConfig, NodeId, Position,
-    Shadowing, CULL_MARGIN_DB,
+    Shadowing, StationRoles, CULL_MARGIN_DB,
 };
 
 /// Constant-density sunflower spiral: the field radius grows with √N so
@@ -54,7 +54,9 @@ fn spiral(n: usize) -> Vec<Position> {
         .collect()
 }
 
-fn medium(positions: Vec<Position>) -> Medium {
+/// A medium over `positions` with every audible slice built: `roles`
+/// let every station transmit and move, as a mobile world's must.
+fn medium(positions: Vec<Position>, roles: &StationRoles) -> Medium {
     let day = DayProfile::clear();
     Medium::new(
         positions,
@@ -69,6 +71,7 @@ fn medium(positions: Vec<Position>) -> Medium {
                 margin: Db(CULL_MARGIN_DB),
             },
         },
+        roles,
     )
 }
 
@@ -103,9 +106,10 @@ fn bench_construct(h: &Harness, n: usize) {
     for &(id, p) in &move_sets(n)[0] {
         moved[id.index()] = p;
     }
+    let roles = StationRoles::unrestricted(n);
     h.bench_metrics(
         &format!("mobility/construct_n{n}"),
-        || medium(moved.clone()),
+        || medium(moved.clone(), &roles),
         |m, _| {
             let pairs = n * (n - 1);
             vec![
@@ -123,7 +127,7 @@ fn bench_construct(h: &Harness, n: usize) {
 /// reporting per-epoch churn and `speedup` over the already-timed
 /// construction row.
 fn bench_epochs(h: &Harness, n: usize, construct_ns: Option<f64>) {
-    let mut medium = medium(spiral(n));
+    let mut medium = medium(spiral(n), &StationRoles::unrestricted(n));
     let sets = move_sets(n);
     // Install the steady state (capacity slack) before timing, exactly
     // as a run's first epochs would.

@@ -1,15 +1,14 @@
 //! Shared helpers for the testbed benches.
 //!
-//! The benches live in `benches/`, one group per paper artifact (see
-//! `DESIGN.md` §3). Each group measures the cost of *regenerating* that
-//! artifact; the `repro` binary in the workspace root prints the
-//! artifacts themselves.
+//! The benches live in `benches/`, one group per engine concern:
+//! `hotpath`, `scaling`, `profile`, `mobility` and `sweep`. The `repro`
+//! binary in the workspace root prints the paper's artifacts.
 //!
 //! Timing is done by the self-contained [`Harness`] below (the container
 //! has no bench framework): each benchmark warms up briefly, then runs
 //! timed iterations until a wall-clock budget is spent, and reports the
 //! median/min per-iteration time. Pass a substring on the command line to
-//! run a subset: `cargo bench --bench engine -- queue`.
+//! run a subset: `cargo bench -p dot11-bench --bench hotpath -- queue`.
 //!
 //! The harness also maintains the repo's perf trajectory:
 //!

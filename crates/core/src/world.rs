@@ -17,8 +17,8 @@ use dot11_mac::{DcfMac, FrameKind, MacAction, MacFrame, MacSdu, TimerKind};
 use dot11_net::{CbrSource, SaturatedSource, TcpConfig};
 use dot11_net::{FlowId, Packet, Segment, StaticRoutes, TcpOutput, TcpReceiver, TcpSender};
 use dot11_phy::{
-    CullPolicy, Medium, MediumConfig, NodeId, PhyState, RxOutcomeKind, Shadowing, TxId, TxSignal,
-    CULL_MARGIN_DB,
+    CullPolicy, Medium, MediumConfig, NodeId, PhyState, RxOutcomeKind, Shadowing, StationRoles,
+    TxId, TxSignal, CULL_MARGIN_DB,
 };
 use dot11_trace::{FrameClass, NullSink, RxErrorCause, TraceRecord, TraceSink};
 
@@ -260,30 +260,29 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     mobility_stats: MobilityStats,
     /// Recycled per-epoch move buffer.
     move_scratch: Vec<(NodeId, dot11_phy::Position)>,
-    /// The transmitter set: one flag per station, `true` for every
-    /// station on some flow's route in either direction
-    /// ([`transmitter_set`]). Deaf-receiver elision is derived from it,
-    /// so a transmission from outside it panics.
-    transmitters: Vec<bool>,
-    /// Stations classified deaf under `transmitters` (0 on mobile
-    /// scenarios, which are never classified).
-    deaf_stations: u64,
+    /// The roles the medium was built from ([`station_roles`] in
+    /// production). What the medium stored and skips rests on their
+    /// transmitter set, so a transmission from outside it panics.
+    roles: StationRoles,
     /// CSR entries the medium stored at construction.
     links_built: u64,
     /// Per-receiver signals scattered so far.
     deliveries: u64,
 }
 
-/// Every station that can ever transmit: each flow's route walked hop by
-/// hop (`next_hop(at, dst)`, or `dst` itself when no route is installed),
-/// from source to destination and back. The reverse route carries TCP
-/// ACK segments, and every hop answers with MAC ACKs or CTS frames, so
-/// the stations on both walks are the only ones a frame ever leaves.
-/// A walk takes at most `n` hops: a route that loops keeps every packet
-/// on stations the walk has already visited.
-fn transmitter_set(n: usize, flows: &[FlowSpec], routes: &StaticRoutes) -> Vec<bool> {
+/// The scenario's station roles. The transmitter set is every station
+/// on some flow's route, walked hop by hop (`next_hop(at, dst)`, or
+/// `dst` itself when no route is installed) from source to destination
+/// and back. The reverse route carries TCP ACK segments, and every hop
+/// answers with MAC ACKs or CTS frames, so the stations on both walks
+/// are the only ones a frame ever leaves. A walk takes at most `n` hops:
+/// a route that loops keeps every packet on stations the walk has
+/// already visited. Positions stay fixed unless the scenario has
+/// mobility; every station transmits at the radio's one TX power.
+fn station_roles(scenario: &Scenario) -> StationRoles {
+    let n = scenario.positions.len();
     let mut set = vec![false; n];
-    for f in flows {
+    for f in &scenario.flows {
         for (from, to) in [(f.src, f.dst), (f.dst, f.src)] {
             let mut at = from;
             set[at.index()] = true;
@@ -291,12 +290,16 @@ fn transmitter_set(n: usize, flows: &[FlowSpec], routes: &StaticRoutes) -> Vec<b
                 if at == to {
                     break;
                 }
-                at = routes.next_hop(at, to).unwrap_or(to);
+                at = scenario.routes.next_hop(at, to).unwrap_or(to);
                 set[at.index()] = true;
             }
         }
     }
-    set
+    let radio = (scenario.radio.tx_power, scenario.radio.cs_threshold);
+    StationRoles {
+        transmitters: set,
+        fixed: scenario.mobility.is_none().then_some(radio),
+    }
 }
 
 impl World {
@@ -319,28 +322,21 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// timing probe (usually a [`desim::WallProbe`] over
     /// [`PROBE_SCOPES`]).
     ///
-    /// On a static scenario with stations outside the
-    /// [transmitter set](World::transmitters), the medium builds only the
-    /// transmitters' audible slices (see [`Medium::for_transmitters`]),
-    /// and frames skip every deaf receiver (see
-    /// [`Medium::deaf_receivers`]): a silent station that no transmitter
-    /// can make detect a preamble or sense energy. Neither changes a
-    /// draw or a PHY call with an observable effect, so the report and
-    /// the trace are the same as with every slice built and full scatter.
+    /// The medium is built from the scenario's [`StationRoles`], derived
+    /// once from its flows, routes, mobility and radio. On a static
+    /// scenario with stations outside the
+    /// [transmitter set](World::transmitters), it builds only the
+    /// transmitters' audible slices, and frames skip every deaf receiver:
+    /// a silent station that no transmitter can make detect a preamble or
+    /// sense energy (see [`Medium::new`]). Neither changes a draw or a PHY
+    /// call with an observable effect, so the report and the trace are
+    /// the same as with every slice built and full scatter.
     pub fn with_probe(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
-        World::assemble(scenario, sink, probe, false)
+        let roles = station_roles(&scenario);
+        World::assemble(scenario, sink, probe, roles)
     }
 
-    /// [`World::with_probe`] with every audible slice built and the deaf
-    /// receivers classified but not skipped: every frame scatters to its
-    /// whole audible set. The reference the elision identity tests
-    /// compare against.
-    #[cfg(test)]
-    fn with_full_scatter(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
-        World::assemble(scenario, sink, probe, true)
-    }
-
-    fn assemble(scenario: Scenario, sink: S, probe: P, reference: bool) -> World<S, P> {
+    fn assemble(scenario: Scenario, sink: S, probe: P, roles: StationRoles) -> World<S, P> {
         let Scenario {
             positions,
             radio,
@@ -378,31 +374,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             propagation_delay: desim::SimDuration::from_micros(1),
             cull,
         };
-        let transmitters = transmitter_set(positions.len(), &flows, &routes);
-        // Both savings rest on static positions and an enforced
-        // transmitter set with silent stations in it. Epoch commits
-        // recompute and count churn over every slice, and a moving
-        // station can come to hear a transmitter whose link to it was
-        // never sampled, so mobile scenarios build every slice and are
-        // not classified; where every station may transmit, every slice
-        // is read and none can be deaf.
-        let silent_static = mobility.is_none() && transmitters.contains(&false);
-        let mut medium = if silent_static && !reference {
-            Medium::for_transmitters(positions.clone(), shadowing, config, &transmitters)
-        } else {
-            Medium::new(positions.clone(), shadowing, config)
-        };
+        let medium = Medium::new(positions.clone(), shadowing, config, &roles);
         let links_built = medium.built_link_count() as u64;
-        let deaf_stations = if silent_static {
-            let deaf = medium.deaf_receivers(&transmitters, radio.tx_power, radio.cs_threshold);
-            let count = deaf.iter().filter(|&&d| d).count() as u64;
-            if !reference {
-                medium.elide_receivers(deaf);
-            }
-            count
-        } else {
-            0
-        };
         let mut radio = radio;
         radio.preamble = mac.preamble;
         let mut nodes = Vec::with_capacity(positions.len());
@@ -465,8 +438,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             mobility,
             mobility_stats: MobilityStats::default(),
             move_scratch: Vec::new(),
-            transmitters,
-            deaf_stations,
+            roles,
             links_built,
             deliveries: 0,
         };
@@ -541,7 +513,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// flow's route, in either direction. Only these stations may
     /// transmit; any other station's transmission panics.
     pub fn transmitters(&self) -> &[bool] {
-        &self.transmitters
+        &self.roles.transmitters
     }
 
     /// Dispatches events until the next one would land after `end`.
@@ -930,7 +902,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         // overlap (so a receiver hears at most one signal per
         // transmitter). Checked in release builds too.
         assert!(
-            self.transmitters[idx],
+            self.roles.transmitters[idx],
             "station {idx} transmitted but is outside the transmitter set \
              (no flow routes through it); deaf-receiver elision would be unsound"
         );
@@ -1243,7 +1215,9 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 mobility: self.mobility_stats,
                 queue_high_water: self.sim.queue_high_water(),
                 deliveries: self.deliveries,
-                deaf_stations: self.deaf_stations,
+                deaf_stations: (0..self.nodes.len())
+                    .filter(|&i| self.medium.is_deaf(NodeId(i as u32)))
+                    .count() as u64,
                 links_built: self.links_built,
                 // The accounted horizon (same `end` the airtime ledgers
                 // fold to), not the last event's timestamp: how far the
@@ -1329,12 +1303,13 @@ mod tests {
     }
 
     /// Every deterministic field of a report — all but the wall clock,
-    /// the profile and the scattered-delivery count, which elision
-    /// changes by design — with floats in their round-trip form.
+    /// the profile and the counters elision changes by design (scattered
+    /// deliveries, deaf stations, links built) — with floats in their
+    /// round-trip form.
     fn fingerprint(r: &RunReport) -> String {
         let e = &r.engine;
         let mut out = format!(
-            "{:?} {:?} {:?} events={} kinds={:?} mobility={:?} qhw={} deaf={} sim={:?}\n",
+            "{:?} {:?} {:?} events={} kinds={:?} mobility={:?} qhw={} sim={:?}\n",
             r.duration,
             r.warmup,
             r.flows,
@@ -1342,7 +1317,6 @@ mod tests {
             e.kinds,
             e.mobility,
             e.queue_high_water,
-            e.deaf_stations,
             e.sim_elapsed
         );
         for n in &r.nodes {
@@ -1361,41 +1335,40 @@ mod tests {
         let count = |t: usize| world.medium.audible_count(NodeId(t as u32)) as u64;
         let n = world.nodes.len();
         (
-            (0..n).filter(|&t| world.transmitters[t]).map(count).sum(),
+            (0..n).filter(|&t| world.transmitters()[t]).map(count).sum(),
             (0..n).map(count).sum(),
         )
     }
 
     /// Runs `scenario` as built (transmitter slices only, deaf receivers
-    /// elided) and as the reference (every slice built, full scatter),
-    /// each with a JSONL trace. Asserts the two reports and traces are
-    /// identical, that each world stored exactly the slices it should
-    /// (`links_built`), and that every station classified deaf ended the
+    /// elided) and as the reference (roles in which every station may
+    /// transmit: every slice built, full scatter), each with a JSONL
+    /// trace. Asserts the two reports and traces are identical, that each
+    /// world stored exactly its transmitters' slices (`links_built`: the
+    /// reference's transmitters are every station), and that every
+    /// station the production medium classified deaf ended the
     /// full-scatter run with no lock, missed preamble, capture, RX or
     /// carrier-busy time. Returns the number of deaf stations.
     fn assert_elision_exact(label: &str, scenario: impl Fn() -> Scenario) -> usize {
         let run = |reference: bool| {
             let sink = SharedSink::new(JsonlSink::new(Vec::new()));
             let world = if reference {
-                World::with_full_scatter(scenario(), sink.clone(), NoProbe)
+                let scenario = scenario();
+                let roles = StationRoles::unrestricted(scenario.positions.len());
+                World::assemble(scenario, sink.clone(), NoProbe, roles)
             } else {
                 World::with_probe(scenario(), sink.clone(), NoProbe)
             };
-            let radio = *world.nodes[0].phy.config();
-            let deaf = world.medium.deaf_receivers(
-                &world.transmitters,
-                radio.tx_power,
-                radio.cs_threshold,
-            );
+            let deaf: Vec<bool> = (0..world.nodes.len())
+                .map(|t| world.medium.is_deaf(NodeId(t as u32)))
+                .collect();
             let (transmitter_links, all_links) = audible_sums(&world);
+            if reference {
+                assert_eq!(transmitter_links, all_links, "{label}: reference roles");
+            }
             let report = world.run();
-            let expected = if reference {
-                all_links
-            } else {
-                transmitter_links
-            };
             assert_eq!(
-                report.engine.links_built, expected,
+                report.engine.links_built, transmitter_links,
                 "{label}: links built (reference: {reference})"
             );
             let trace = sink
@@ -1405,7 +1378,9 @@ mod tests {
             (report, trace, deaf)
         };
         let (elided, elided_trace, deaf) = run(false);
-        let (full, full_trace, _) = run(true);
+        let (full, full_trace, reference_deaf) = run(true);
+        assert!(!reference_deaf.contains(&true), "{label}: reference elided");
+        assert_eq!(full.engine.deaf_stations, 0, "{label}");
         assert_eq!(
             fingerprint(&elided),
             fingerprint(&full),
@@ -1515,11 +1490,16 @@ mod tests {
         );
     }
 
-    /// Runs `scenario` and checks that its scatter elided nothing: no
-    /// station classified deaf, every slice built, and every frame
-    /// reached its transmitter's whole audible set.
+    /// Runs `scenario`, a static world in which every station may
+    /// transmit, and checks that its scatter elided nothing: no station
+    /// classified deaf, every slice built, and every frame reached its
+    /// transmitter's whole audible set.
     fn assert_nothing_elided(label: &str, scenario: Scenario) {
         let world = World::new(scenario);
+        assert!(
+            !world.transmitters().contains(&false),
+            "{label}: every station may transmit"
+        );
         let audible: Vec<u64> = (0..world.nodes.len())
             .map(|t| world.medium.audible_count(NodeId(t as u32)) as u64)
             .collect();
@@ -1603,6 +1583,10 @@ mod tests {
             mobile = mobile.flow(src, dst, UDP);
         }
         let world = mobile.build().into_world();
+        assert!(
+            world.transmitters().contains(&false),
+            "mobile-disk64 has silent stations"
+        );
         let (_, all_links) = audible_sums(&world);
         let report = world.run();
         assert_eq!(report.engine.links_built, all_links, "mobile-disk64");
@@ -1611,23 +1595,49 @@ mod tests {
         assert!(report.engine.deliveries > 0);
     }
 
-    #[test]
-    #[should_panic(expected = "station 0 transmitted but is outside the transmitter set")]
-    fn transmission_from_outside_the_transmitter_set_panics() {
-        let mut world = ScenarioBuilder::new(PhyRate::R2)
-            .line(&[0.0, 50.0, 5_000.0])
-            .flow(0, 1, UDP)
-            .duration(SimDuration::from_millis(50))
-            .warmup(SimDuration::from_millis(10))
-            .build()
-            .into_world();
-        assert_eq!(world.transmitters(), &[true, true, false]);
-        world.transmitters[0] = false;
-        world.run();
+    /// Runs `scenario` in a world built from its derived roles with
+    /// station 0, a flow source, taken out of the transmitter set.
+    fn run_without_station_0(scenario: Scenario) {
+        let mut roles = station_roles(&scenario);
+        assert!(roles.transmitters[0], "station 0 sends a flow");
+        roles.transmitters[0] = false;
+        World::assemble(scenario, NullSink, NoProbe, roles).run();
     }
 
     #[test]
-    fn transmitter_set_walks_routes_both_ways() {
+    #[should_panic(expected = "station 0 transmitted but is outside the transmitter set")]
+    fn transmission_from_outside_the_transmitter_set_panics() {
+        run_without_station_0(
+            ScenarioBuilder::new(PhyRate::R2)
+                .line(&[0.0, 50.0, 5_000.0])
+                .flow(0, 1, UDP)
+                .duration(SimDuration::from_millis(50))
+                .warmup(SimDuration::from_millis(10))
+                .build(),
+        );
+    }
+
+    /// A mobile world builds every slice, yet still enforces its
+    /// transmitter set.
+    #[test]
+    #[should_panic(expected = "station 0 transmitted but is outside the transmitter set")]
+    fn mobile_transmission_from_outside_the_transmitter_set_panics() {
+        run_without_station_0(
+            ScenarioBuilder::new(PhyRate::R2)
+                .random_disk(16, 120.0, 7)
+                .flow(0, 1, UDP)
+                .duration(SimDuration::from_millis(50))
+                .warmup(SimDuration::from_millis(10))
+                .mobility(crate::MobilityConfig::waypoint(20.0))
+                .build(),
+        );
+    }
+
+    /// The derived roles: every station on a flow's route, forward and
+    /// back, may transmit; positions are fixed, with the radio's TX power
+    /// and carrier-sense threshold, unless the scenario moves.
+    #[test]
+    fn station_roles_walk_routes_both_ways() {
         let mut routes = StaticRoutes::default();
         routes.add(NodeId(0), NodeId(3), NodeId(1));
         routes.add(NodeId(1), NodeId(3), NodeId(2));
@@ -1635,18 +1645,31 @@ mod tests {
         // A loop 5 → 6 → 5 toward 7 must terminate and keep both hops.
         routes.add(NodeId(5), NodeId(7), NodeId(6));
         routes.add(NodeId(6), NodeId(7), NodeId(5));
-        let flow = |id, src, dst| FlowSpec {
-            id: FlowId(id),
-            src: NodeId(src),
-            dst: NodeId(dst),
-            traffic: UDP,
-            start: SimDuration::ZERO,
+        let scenario = || {
+            ScenarioBuilder::new(PhyRate::R2)
+                .chain(9, 30.0)
+                .routes(routes.clone())
+                .flow(0, 3, UDP)
+                .flow(5, 7, UDP)
+                .build()
         };
-        let set = transmitter_set(9, &[flow(0, 0, 3), flow(1, 5, 7)], &routes);
+        let expected = vec![true, true, true, true, true, true, true, true, false];
+        let radio = scenario().radio;
         assert_eq!(
-            set,
-            [true, true, true, true, true, true, true, true, false],
+            station_roles(&scenario()),
+            StationRoles {
+                transmitters: expected.clone(),
+                fixed: Some((radio.tx_power, radio.cs_threshold)),
+            },
             "forward 0-1-2-3, reverse 3-4-0, looping 5-6 plus its reverse 7-5"
+        );
+        let mobile = scenario().with_mobility(crate::MobilityConfig::waypoint(5.0));
+        assert_eq!(
+            station_roles(&mobile),
+            StationRoles {
+                transmitters: expected,
+                fixed: None,
+            }
         );
     }
 }

@@ -89,7 +89,9 @@ impl BackoffPolicy for Beb {
     }
 
     fn on_failure(&mut self, cw: u32, timing: &MacTiming) -> u32 {
-        (cw * 2).min(timing.cw_max)
+        // Saturating: a window of 2³¹ or more (reachable through a CWmax
+        // of up to `u32::MAX`) must clamp to CWmax, not wrap to 0.
+        cw.saturating_mul(2).min(timing.cw_max)
     }
 
     fn on_complete(&mut self, _cw: u32, _success: bool, timing: &MacTiming) -> u32 {
@@ -305,6 +307,46 @@ mod tests {
         assert_eq!(ladder, vec![64, 128, 256, 512, 1024, 1024, 1024]);
         assert_eq!(p.on_complete(cw, true, &t), 32);
         assert_eq!(p.on_complete(cw, false, &t), 32);
+    }
+
+    /// Doubling never leaves `[cw_min, cw_max]`, up to the widest windows
+    /// a `u32` CWmax admits.
+    #[test]
+    fn beb_doubling_stays_within_the_window_range() {
+        for (lo, hi) in [
+            (32, 1024),
+            (1, u32::MAX),
+            (1 << 30, u32::MAX),
+            (7, (1 << 31) + 5),
+        ] {
+            let t = MacTiming::dsss().with_cw(lo, hi);
+            let mut p = Beb;
+            let probes = [
+                lo,
+                lo + 1,
+                hi / 2,
+                hi / 2 + 1,
+                1 << 31,
+                (1 << 31) + 1,
+                hi - 1,
+                hi,
+            ];
+            for cw in probes.into_iter().filter(|cw| (lo..=hi).contains(cw)) {
+                let next = p.on_failure(cw, &t);
+                assert!(
+                    (lo..=hi).contains(&next),
+                    "cw {cw} doubled to {next}, outside [{lo}, {hi}]"
+                );
+                let doubled = if cw > hi / 2 { hi } else { 2 * cw };
+                assert_eq!(next, doubled, "cw {cw} in [{lo}, {hi}]");
+            }
+            let mut cw = lo;
+            for _ in 0..40 {
+                cw = p.on_failure(cw, &t);
+                assert!((lo..=hi).contains(&cw));
+            }
+            assert_eq!(cw, hi, "the ladder must reach CWmax");
+        }
     }
 
     #[test]

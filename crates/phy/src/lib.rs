@@ -44,6 +44,7 @@ pub mod pathloss;
 pub mod plcp;
 pub mod radio;
 pub mod rate;
+pub mod roles;
 pub mod shadowing;
 pub mod state;
 pub mod units;
@@ -54,6 +55,7 @@ pub use pathloss::{DualSlope, FreeSpace, LogDistance, PathLoss, PathLossModel, T
 pub use plcp::{FrameAirtime, Preamble};
 pub use radio::RadioConfig;
 pub use rate::PhyRate;
+pub use roles::StationRoles;
 pub use shadowing::{DayProfile, Shadowing, DEVIATION_BOUND_DB};
 pub use state::{Airtime, PhyIndication, PhyState, RxOutcome, RxOutcomeKind};
 pub use units::{Db, Dbm, Meters, MilliWatts, NodeId, Position};

@@ -12,6 +12,7 @@ use desim::{SimDuration, SimTime};
 use crate::pathloss::{PathLoss, PathLossModel};
 use crate::plcp::{FrameAirtime, Preamble};
 use crate::rate::PhyRate;
+use crate::roles::StationRoles;
 use crate::shadowing::{DayProfile, Shadowing, SlotEntry};
 use crate::units::{Db, Dbm, Meters, NodeId, Position};
 
@@ -137,7 +138,7 @@ pub struct Medium {
     /// `audible[audible_offsets[t] .. audible_offsets[t+1]]`, in station
     /// order, never containing `t` itself. Under [`CullPolicy::Full`]
     /// this is "everyone else". A station whose slice is not built (see
-    /// `built`) has an empty range. Construction packs the slices
+    /// `lanes`) has an empty range. Construction packs the slices
     /// tight (`audible_lens[t] == audible_offsets[t+1] −
     /// audible_offsets[t]`); an epoch compaction re-lays the arrays with
     /// per-station slack so later [`Medium::commit_epoch`] splices stay
@@ -156,15 +157,22 @@ pub struct Medium {
     /// The spatial index over current positions: built by
     /// [`Medium::new`], its movers re-binned by every epoch commit.
     grid: BucketGrid,
-    /// One flag per station, `true` where its audible slice is stored;
-    /// `None` when every slice is — the only shape
-    /// [`Medium::commit_epoch`] accepts. Set by
-    /// [`Medium::for_transmitters`].
-    built: Option<Vec<bool>>,
-    /// Dense per-station flag: receivers [`Medium::transmit_into`] skips
-    /// (set by [`Medium::elide_receivers`]; all `false` otherwise).
-    elided: Vec<bool>,
+    /// One lane per station, fixed at construction from the
+    /// [`StationRoles`]: whether its audible slice is stored, and whether
+    /// [`Medium::transmit_into`] skips it as a receiver.
+    lanes: Vec<Lane>,
     next_tx: u64,
+}
+
+/// What a [`Medium`] stores and scatters for one station.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// Its audible slice is stored; frames reach it.
+    Built,
+    /// No slice stored (silent on a fixed field); frames reach it.
+    Listening,
+    /// No slice stored, and frames skip it (see [`StationRoles`]).
+    Deaf,
 }
 
 /// NaN sentinel for a lazily-filled path loss. No shipped [`PathLoss`]
@@ -560,8 +568,8 @@ fn unbuilt_slice(tx: NodeId, what: &str) -> ! {
 }
 
 impl Medium {
-    /// Creates a medium over the given station positions, with every
-    /// station's audible slice built.
+    /// Creates a medium over the given station positions, storing what
+    /// `roles` says can be read.
     ///
     /// Construction precomputes each transmitter's **audible set** under
     /// `config.cull`: the receivers whose best-case received power (TX
@@ -579,52 +587,29 @@ impl Medium {
     /// be inside it. Construction writes only membership and distances:
     /// path losses and shadowing state wait for a link's first sample, so
     /// a large field whose stations mostly never transmit pays for the
-    /// few slices that do. [`Medium::for_transmitters`] goes further and
-    /// builds only the slices of the stations that can transmit.
-    pub fn new(positions: Vec<Position>, shadowing: Shadowing, config: MediumConfig) -> Medium {
-        Medium::build(positions, shadowing, config, None)
-    }
-
-    /// [`Medium::new`] building and storing the audible slices of only
-    /// the stations flagged in `transmitters` (one flag per station).
-    /// Every built slice, and every link state and draw derived from it,
-    /// is bit for bit what [`Medium::new`] builds: the same slice routine
-    /// runs over the same positions, and shadowing streams are keyed by
-    /// link, not by CSR slot. Other stations get an empty CSR range and
-    /// no shadowing slots; [`Medium::audible_count`] stays exact for them
-    /// through a count-only grid scan with the same keep test.
+    /// few slices that do.
     ///
-    /// Meant for a static world that enforces its transmitter set:
-    /// [`Medium::transmit_into`] and [`Medium::audible_set`] panic for a
-    /// station whose slice is not built, and so does
-    /// [`Medium::commit_epoch`] unless every flag is set (which builds
-    /// every slice, exactly as [`Medium::new`]).
+    /// When `roles` fix positions and leave some station silent, only the
+    /// transmitters' slices are built, and frames skip every deaf
+    /// receiver (see [`StationRoles`]). Each built slice, and every link
+    /// state and draw derived from it, is bit for bit what the all-slices
+    /// build holds: shadowing streams are keyed by link, not by CSR slot.
+    /// A silent station gets an empty CSR range; [`Medium::audible_count`]
+    /// stays exact for it through a count-only scan.
     ///
     /// # Panics
     ///
-    /// Panics if `transmitters.len()` differs from the station count.
-    pub fn for_transmitters(
-        positions: Vec<Position>,
-        shadowing: Shadowing,
-        config: MediumConfig,
-        transmitters: &[bool],
-    ) -> Medium {
-        assert_eq!(
-            transmitters.len(),
-            positions.len(),
-            "one transmitter flag per station"
-        );
-        let built = transmitters.contains(&false).then(|| transmitters.to_vec());
-        Medium::build(positions, shadowing, config, built)
-    }
-
-    fn build(
+    /// Panics if `roles` do not hold one flag per station.
+    pub fn new(
         positions: Vec<Position>,
         mut shadowing: Shadowing,
         config: MediumConfig,
-        built: Option<Vec<bool>>,
+        roles: &StationRoles,
     ) -> Medium {
         let n = positions.len();
+        assert_eq!(roles.transmitters.len(), n, "one role per station");
+        // Only a fixed field with silent stations leaves slices unbuilt.
+        let silent_fixed = roles.fixed.filter(|_| roles.transmitters.contains(&false));
         let radius = match config.cull {
             CullPolicy::Full => f64::INFINITY,
             CullPolicy::Audible {
@@ -645,8 +630,12 @@ impl Medium {
         let mut audible_offsets = Vec::with_capacity(n + 1);
         audible_offsets.push(0u32);
         let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for tx in 0..n {
-            if built.as_ref().is_none_or(|b| b[tx]) {
+        let mut lanes = Vec::with_capacity(n);
+        for (tx, &may_transmit) in roles.transmitters.iter().enumerate() {
+            if silent_fixed.is_some() && !may_transmit {
+                lanes.push(Lane::Listening);
+            } else {
+                lanes.push(Lane::Built);
                 compute_audible_slice(&positions, &config, radius, &grid, tx, &mut scratch);
                 for &(rx, d) in &scratch {
                     audible.push(NodeId(rx));
@@ -660,7 +649,7 @@ impl Medium {
         // its full capacity. Epoch compactions are what introduce slack.
         let audible_lens = audible_offsets.windows(2).map(|w| w[1] - w[0]).collect();
         let live_links = audible.len();
-        Medium {
+        let mut medium = Medium {
             positions,
             shadowing,
             config,
@@ -671,16 +660,22 @@ impl Medium {
             live_links,
             cull_radius: radius,
             grid,
-            built,
-            elided: vec![false; n],
+            lanes,
             next_tx: 0,
+        };
+        if let Some((tx_power, cs_threshold)) = silent_fixed {
+            let deaf = medium.deaf_receivers(&roles.transmitters, tx_power, cs_threshold);
+            for i in (0..n).filter(|&i| deaf[i]) {
+                medium.lanes[i] = Lane::Deaf;
+            }
         }
+        medium
     }
 
     /// Whether station `tx`'s audible slice is stored.
     #[inline]
     fn is_built(&self, tx: usize) -> bool {
-        self.built.as_ref().is_none_or(|b| b[tx])
+        self.lanes[tx] == Lane::Built
     }
 
     /// The live CSR slot range of transmitter `tx`'s audible slice —
@@ -761,12 +756,12 @@ impl Medium {
     }
 
     /// The audible set of `tx`: the receivers `transmit_into` will
-    /// scatter to (unless elided), in station order.
+    /// scatter to (minus deaf ones), in station order.
     ///
     /// # Panics
     ///
     /// Panics, naming `tx`, if its slice was not built (see
-    /// [`Medium::for_transmitters`]).
+    /// [`Medium::new`]).
     pub fn audible_set(&self, tx: NodeId) -> &[NodeId] {
         if !self.is_built(tx.index()) {
             unbuilt_slice(tx, "audible_set");
@@ -812,10 +807,10 @@ impl Medium {
     /// what makes culling physics-invisible there (asserted by the
     /// workspace `culling` tests).
     ///
-    /// O(1) when every slice is built. On a medium built by
-    /// [`Medium::for_transmitters`] it counts each unbuilt station's set
-    /// with [`Medium::audible_count`]: O(unbuilt × degree). Only tests
-    /// and benches call it.
+    /// O(1) when every slice is built. On a medium built for a fixed
+    /// field's transmitters it counts each unbuilt station's set with
+    /// [`Medium::audible_count`]: O(unbuilt × degree). Only tests and
+    /// benches call it.
     pub fn culled_link_count(&self) -> usize {
         let n = self.positions.len();
         let unbuilt: usize = (0..n)
@@ -831,6 +826,13 @@ impl Medium {
     /// slice scan wrote.
     pub fn built_link_count(&self) -> usize {
         self.live_links
+    }
+
+    /// Whether frames skip `station`: a silent station of a fixed field
+    /// that no transmitter can make detect a preamble or sense energy
+    /// (see [`StationRoles`]). Fixed at construction.
+    pub fn is_deaf(&self, station: NodeId) -> bool {
+        self.lanes[station.index()] == Lane::Deaf
     }
 
     /// Classifies every station as **deaf** or listening, given the
@@ -858,12 +860,7 @@ impl Medium {
     ///
     /// Panics if `transmitters.len()` differs from the station count, or,
     /// naming the station, if a flagged transmitter's slice was not built.
-    pub fn deaf_receivers(
-        &self,
-        transmitters: &[bool],
-        tx_power: Dbm,
-        cs_threshold: Dbm,
-    ) -> Vec<bool> {
+    fn deaf_receivers(&self, transmitters: &[bool], tx_power: Dbm, cs_threshold: Dbm) -> Vec<bool> {
         let n = self.positions.len();
         assert_eq!(transmitters.len(), n, "one transmitter flag per station");
         let min_excess = self.config.day.min_excess();
@@ -899,23 +896,6 @@ impl Medium {
             .collect()
     }
 
-    /// Makes [`Medium::transmit_into`] skip every receiver flagged in
-    /// `skip` (one flag per station): no shadowing sample, no delivery.
-    /// Audible sets, [`Medium::audible_count`] and culling are unchanged.
-    ///
-    /// Exact only for receivers whose PHY calls would have no observable
-    /// effect — the ones [`Medium::deaf_receivers`] classifies under the
-    /// transmitter set the caller enforces — and only while positions
-    /// stay put: a later epoch commit panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `skip.len()` differs from the station count.
-    pub fn elide_receivers(&mut self, skip: Vec<bool>) {
-        assert_eq!(skip.len(), self.positions.len(), "one flag per station");
-        self.elided = skip;
-    }
-
     /// Samples the received power on the directed link `tx → rx` at `now`
     /// given the transmitter's TX power: (cached) path loss plus the
     /// current shadowing state of that link.
@@ -944,9 +924,9 @@ impl Medium {
 
     /// Launches a transmission at `now` from `source`, appending the
     /// signal as it will appear at every station in `source`'s audible
-    /// set (in station order, minus the receivers
-    /// [`Medium::elide_receivers`] skips) to `deliveries`, powers sampled
-    /// at launch (block-fading per frame).
+    /// set (in station order, minus deaf receivers — see
+    /// [`Medium::is_deaf`]) to `deliveries`, powers sampled at launch
+    /// (block-fading per frame).
     ///
     /// `deliveries` must arrive **empty** (debug-asserted): clearing is
     /// hoisted to the caller, which recycles its buffers — a recycled
@@ -956,8 +936,7 @@ impl Medium {
     /// # Panics
     ///
     /// Panics, naming `source`, if its audible slice was not built (see
-    /// [`Medium::for_transmitters`]): the frame would otherwise silently
-    /// reach nobody.
+    /// [`Medium::new`]): the frame would otherwise silently reach nobody.
     #[allow(clippy::too_many_arguments)] // the per-frame signature is flat on purpose
     pub fn transmit_into(
         &mut self,
@@ -998,11 +977,11 @@ impl Medium {
         // advance, and power subtraction per receiver, with the slot index
         // doubling as the shadowing-state index (no per-receiver search or
         // hashing). The arithmetic and draw order match `rx_power` on the
-        // slotted path exactly. An elided receiver's link stream has no
+        // slotted path exactly. A deaf receiver's link stream has no
         // other reader, so leaving it unsampled changes no other link.
         for slot in start..end {
             let rx = self.audible[slot];
-            if self.elided[rx.index()] {
+            if self.lanes[rx.index()] == Lane::Deaf {
                 continue;
             }
             let (d, pl) = self.slot_link(slot);
@@ -1060,9 +1039,9 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics if any moved [`NodeId`] is out of range, if receivers are
-    /// elided, or if the medium was built for a transmitter subset
-    /// ([`Medium::for_transmitters`]).
+    /// Panics if any moved [`NodeId`] is out of range, or if the medium
+    /// was built for a fixed field's transmitters (roles that fix
+    /// positions and leave some station silent; see [`Medium::new`]).
     pub fn commit_epoch(&mut self, moves: &[(NodeId, Position)]) -> EpochChurn {
         let plan = self.apply_moves(moves);
         let mut churn = EpochChurn {
@@ -1125,16 +1104,12 @@ impl Medium {
     /// position wins), drops bit-identical no-ops, records each real
     /// mover's pre-epoch position, and updates `positions`.
     fn apply_moves(&mut self, moves: &[(NodeId, Position)]) -> EpochPlan {
-        // A moved station can start hearing a transmitter whose link to
-        // it was never sampled while it was skipped.
-        assert!(
-            !self.elided.contains(&true),
-            "receiver elision requires static positions"
-        );
         // A moved station's unbuilt slice could not be recomputed, nor
-        // the churn it defines counted.
+        // the churn it defines counted, and a deaf station (never built)
+        // could come to hear a transmitter whose link to it was never
+        // sampled.
         assert!(
-            self.built.is_none(),
+            self.lanes.iter().all(|&l| l == Lane::Built),
             "epoch commits require every audible slice built"
         );
         let n = self.positions.len();
@@ -1360,6 +1335,12 @@ mod tests {
         } else {
             DayProfile::clear()
         };
+        let roles = StationRoles::unrestricted(positions.len());
+        medium_for(positions, day, &roles)
+    }
+
+    /// A Full-fanout medium over `positions` on `day`, built from `roles`.
+    fn medium_for(positions: Vec<Position>, day: DayProfile, roles: &StationRoles) -> Medium {
         Medium::new(
             positions,
             Shadowing::new(day.clone(), SimRng::from_seed(5)),
@@ -1369,6 +1350,7 @@ mod tests {
                 propagation_delay: SimDuration::from_micros(1),
                 cull: CullPolicy::Full,
             },
+            roles,
         )
     }
 
@@ -1489,6 +1471,7 @@ mod tests {
 
     fn audible_medium(positions: Vec<Position>, margin: f64) -> Medium {
         let day = DayProfile::clear();
+        let roles = StationRoles::unrestricted(positions.len());
         Medium::new(
             positions,
             Shadowing::new(day.clone(), SimRng::from_seed(5)),
@@ -1502,6 +1485,7 @@ mod tests {
                     margin: Db(margin),
                 },
             },
+            &roles,
         )
     }
 
@@ -1593,6 +1577,7 @@ mod tests {
                     propagation_delay: SimDuration::from_micros(1),
                     cull,
                 },
+                &StationRoles::unrestricted(4),
             )
         };
         let mut full = mk(CullPolicy::Full);
@@ -1656,8 +1641,8 @@ mod tests {
     /// The brute-force O(N²) oracle for `Medium`'s link state: re-lays
     /// `m`'s CSR tight from the exact keep predicate on every pair at the
     /// current positions, touching neither the grid nor the keep radius.
-    /// Only the stations `m.built` flags get a slice (every station when
-    /// it is `None`); the rest get an empty range. A pair with an
+    /// Only the stations whose lane is `Built` get a slice; the rest get
+    /// an empty range. A pair with an
     /// endpoint flagged in `moved` starts fresh — its distance, no path
     /// loss, no shadowing state. Every other pair keeps its old cell and
     /// shadowing state, relocated to its new slot.
@@ -1696,26 +1681,47 @@ mod tests {
         m.audible_offsets = offsets;
     }
 
-    /// The oracle's construction: every pair starts fresh, and only the
-    /// slices of the stations flagged in `transmitters` are laid (every
-    /// slice for `None` or an all-set mask). Only the link state of the
-    /// returned medium is the oracle's; its grid indexes no station, so
-    /// it must never commit an epoch or count an unbuilt slice itself.
+    /// The oracle's construction: every pair starts fresh, and each
+    /// station gets the given lane, so only the `Built` stations' slices
+    /// are laid. Only the link state of the returned medium is the
+    /// oracle's; its grid indexes no station, so it must never commit an
+    /// epoch or count an unbuilt slice itself.
     fn oracle_new(
         positions: Vec<Position>,
         shadowing: Shadowing,
         config: MediumConfig,
-        transmitters: Option<&[bool]>,
+        lanes: Vec<Lane>,
     ) -> Medium {
         let n = positions.len();
-        let mut m = Medium::new(Vec::new(), shadowing, config);
+        let mut m = Medium::new(
+            Vec::new(),
+            shadowing,
+            config,
+            &StationRoles::unrestricted(0),
+        );
         m.positions = positions;
-        m.elided = vec![false; n];
-        m.built = transmitters
-            .filter(|t| t.contains(&false))
-            .map(<[bool]>::to_vec);
+        m.lanes = lanes;
         oracle_relayout(&mut m, &vec![true; n]);
         m
+    }
+
+    /// The lanes fixed roles over `mask` must give: the transmitters'
+    /// slices built and, where some station is silent, the receivers
+    /// that the all-built medium `all` classifies deaf at `tx_power` and
+    /// `cs_threshold` skipped.
+    fn expected_lanes(all: &Medium, mask: &[bool], tx_power: Dbm, cs_threshold: Dbm) -> Vec<Lane> {
+        if !mask.contains(&false) {
+            return vec![Lane::Built; mask.len()];
+        }
+        let deaf = all.deaf_receivers(mask, tx_power, cs_threshold);
+        mask.iter()
+            .zip(deaf)
+            .map(|(&tx, deaf)| match (tx, deaf) {
+                (true, _) => Lane::Built,
+                (false, true) => Lane::Deaf,
+                (false, false) => Lane::Listening,
+            })
+            .collect()
     }
 
     /// The oracle's epoch commit, with [`EpochChurn`] computed from its
@@ -1783,7 +1789,7 @@ mod tests {
         let n = m.station_count();
         assert_eq!(n, o.station_count(), "{tag}");
         assert_eq!(m.next_tx, o.next_tx, "{tag}");
-        assert_eq!(m.built, o.built, "{tag} built slices");
+        assert_eq!(m.lanes, o.lanes, "{tag} lanes");
         let mut kept = 0;
         let mut max_kept = 0;
         for t in 0..n {
@@ -1837,7 +1843,8 @@ mod tests {
     }
 
     /// Sends one frame from `src` on both media and asserts bitwise-equal
-    /// deliveries: same transmission id, receivers and powers.
+    /// deliveries: same transmission id, receivers and powers, once `b`'s
+    /// deliveries to the receivers `a` skips as deaf are set aside.
     fn assert_same_frame(
         a: &mut Medium,
         b: &mut Medium,
@@ -1847,7 +1854,8 @@ mod tests {
         tag: &str,
     ) {
         let (id_a, _, da) = a.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
-        let (id_b, _, db) = b.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
+        let (id_b, _, mut db) = b.transmit(src, tx_power, PhyRate::R2, 256, Preamble::Long, now);
+        db.retain(|(rx, _)| !a.is_deaf(*rx));
         assert_eq!(id_a, id_b, "{tag}");
         assert_eq!(da.len(), db.len(), "{tag} frame from {src:?}");
         for ((rx_a, sa), (rx_b, sb)) in da.iter().zip(&db) {
@@ -1859,6 +1867,11 @@ mod tests {
             );
         }
     }
+
+    /// The carrier-sense thresholds every deaf classification check runs
+    /// at: the DWL-650's −101.5 dBm, and a less sensitive −80 dBm, at
+    /// which more stations are deaf.
+    const CS_THRESHOLDS: [Dbm; 2] = [Dbm(-101.5), Dbm(-80.0)];
 
     /// The transmitter masks every subset-construction check runs: none,
     /// one station, a seeded random third, and all.
@@ -2008,9 +2021,10 @@ mod tests {
     /// cell-skipping scan's slack must not cut a kept pair; an empty
     /// field and a lone station. The densifying chain sees both in-place
     /// splices and a compaction of a partly sampled store. Construction
-    /// for a transmitter subset ([`Medium::for_transmitters`], under every
-    /// mask of `subset_masks`) matches the oracle laid for that subset,
-    /// before and after frames from each built slice.
+    /// from fixed roles (every mask of `subset_masks`, at both
+    /// carrier-sense thresholds of `CS_THRESHOLDS`) matches the oracle
+    /// laid for that subset, with the deaf receivers the all-built medium
+    /// classifies skipped, before and after frames from each built slice.
     #[test]
     fn medium_matches_brute_force_oracle_bitwise() {
         use crate::pathloss::DualSlope;
@@ -2041,14 +2055,15 @@ mod tests {
             CullPolicy::Full,
             zero_horizon,
         ];
+        let none = StationRoles::unrestricted(0);
         assert_eq!(
-            Medium::new(Vec::new(), shadowing(), config(zero_horizon)).cull_radius,
+            Medium::new(Vec::new(), shadowing(), config(zero_horizon), &none).cull_radius,
             f64::NEG_INFINITY
         );
         // The keep radius of the first policy: the lattice below puts
         // stations on its cell edges (the grid's cell side is exactly the
         // radius there, with the origin at 0) and pairs at its boundary.
-        let r = Medium::new(Vec::new(), shadowing(), config(culls[0])).cull_radius;
+        let r = Medium::new(Vec::new(), shadowing(), config(culls[0]), &none).cull_radius;
         assert!(r.is_finite() && r > 0.0);
         let up = |v: f64| f64::from_bits(v.to_bits() + 1);
         let down = |v: f64| f64::from_bits(v.to_bits() - 1);
@@ -2127,26 +2142,36 @@ mod tests {
                     CullPolicy::Audible { tx_power, .. } => tx_power,
                     CullPolicy::Full => Dbm(15.0),
                 };
-                for (mask_name, mask) in subset_masks(positions.len(), 19) {
-                    let tag = format!("{tag} built for {mask_name}");
-                    let mut m = Medium::for_transmitters(
-                        positions.clone(),
-                        shadowing(),
-                        config(cull),
-                        &mask,
-                    );
-                    let mut o =
-                        oracle_new(positions.clone(), shadowing(), config(cull), Some(&mask));
+                let n = positions.len();
+                let all = StationRoles::unrestricted(n);
+                let all_built = Medium::new(positions.clone(), shadowing(), config(cull), &all);
+                for ((mask_name, mask), cs_threshold) in subset_masks(n, 19)
+                    .into_iter()
+                    .flat_map(|m| CS_THRESHOLDS.map(|cs| (m.clone(), cs)))
+                {
+                    let tag = format!("{tag} built for {mask_name} at {cs_threshold:?}");
+                    let lanes = expected_lanes(&all_built, &mask, tx_power, cs_threshold);
+                    let roles = StationRoles {
+                        transmitters: mask,
+                        fixed: Some((tx_power, cs_threshold)),
+                    };
+                    let mut m = Medium::new(positions.clone(), shadowing(), config(cull), &roles);
+                    let mut o = oracle_new(positions.clone(), shadowing(), config(cull), lanes);
                     assert_matches_oracle(&m, &o, &tag);
-                    let senders: Vec<usize> = (0..mask.len()).filter(|&t| mask[t]).collect();
+                    let senders: Vec<usize> = (0..n).filter(|&t| roles.transmitters[t]).collect();
                     for (f, &src) in senders.iter().cycle().take(2 * senders.len()).enumerate() {
                         let now = SimTime::from_micros(f as u64 * 700 + 1);
                         assert_same_frame(&mut m, &mut o, NodeId(src as u32), tx_power, now, &tag);
                     }
                     assert_matches_oracle(&m, &o, &format!("{tag} after frames"));
                 }
-                let mut m = Medium::new(positions.clone(), shadowing(), config(cull));
-                let mut o = oracle_new(positions.clone(), shadowing(), config(cull), None);
+                let mut m = Medium::new(positions.clone(), shadowing(), config(cull), &all);
+                let mut o = oracle_new(
+                    positions.clone(),
+                    shadowing(),
+                    config(cull),
+                    vec![Lane::Built; n],
+                );
                 assert_matches_oracle(&m, &o, &format!("{tag} built"));
                 let (mut saw_splice, mut saw_compaction, mut saw_partial_compaction) =
                     (false, false, false);
@@ -2216,10 +2241,12 @@ mod tests {
             .collect()
     }
 
-    /// Asserts that `sub`, built for a transmitter subset, holds exactly
-    /// what the all-built `full` holds for every slice `sub` built —
-    /// membership, raw (distance, path loss) cells, shadowing-slot init
-    /// state — and the same counts for every station, built or not.
+    /// Asserts that `sub`, built from fixed roles, holds exactly what the
+    /// all-built `full` holds for every slice `sub` built — membership,
+    /// raw (distance, path loss) cells, shadowing-slot init state — except
+    /// that a link to a receiver `sub` skips as deaf keeps its
+    /// construction state (distance only, never sampled); and the same
+    /// counts for every station, built or not.
     fn assert_subset_matches_full(sub: &Medium, full: &Medium, tag: &str) {
         let bits = |(d, pl): (Meters, Db)| (d.0.to_bits(), pl.0.to_bits());
         let n = sub.station_count();
@@ -2243,14 +2270,19 @@ mod tests {
             let ((s0, s1), (f0, _)) = (sub.slice_bounds(t), full.slice_bounds(t));
             for (ss, fs) in (s0..s1).zip(f0..) {
                 let rx = sub.audible[ss];
+                let (cell, init) = if sub.is_deaf(rx) {
+                    ((full.slot_links[fs].0, Db(UNFILLED)), false)
+                } else {
+                    (full.slot_links[fs], full.shadowing.slot_is_init(fs))
+                };
                 assert_eq!(
                     bits(sub.slot_links[ss]),
-                    bits(full.slot_links[fs]),
+                    bits(cell),
                     "{tag} cell {tx:?}->{rx:?}"
                 );
                 assert_eq!(
                     sub.shadowing.slot_is_init(ss),
-                    full.shadowing.slot_is_init(fs),
+                    init,
                     "{tag} shadowing {tx:?}->{rx:?}"
                 );
             }
@@ -2260,14 +2292,17 @@ mod tests {
         assert_eq!(sub.culled_link_count(), full.culled_link_count(), "{tag}");
     }
 
-    /// Building only a transmitter subset's slices changes nothing any
-    /// caller can observe: on random fields, under every cull policy and
-    /// for every mask, each built slice matches the all-built medium's
-    /// bit for bit before and after frames are sent from it (path losses
-    /// filled, shadowing slots sampled), every station's audible count,
-    /// the largest count, the culled-link count and the deaf-receiver
-    /// classification match, and the frames' deliveries are bitwise
-    /// equal.
+    /// Roles fix what a medium stores and whom it skips, and nothing any
+    /// caller can observe beyond that: on random fields, under every cull
+    /// policy, for every mask and at both carrier-sense thresholds, fixed
+    /// roles build exactly the transmitters' slices and skip exactly the
+    /// receivers the all-built medium classifies deaf; each built slice
+    /// matches the all-built medium's bit for bit before and after frames
+    /// are sent from it (path losses filled, shadowing slots sampled),
+    /// every station's audible count, the largest count and the
+    /// culled-link count match, and the frames' deliveries are bitwise
+    /// equal to the all-built medium's minus the deaf receivers. Moving
+    /// roles over the same mask build every slice and skip no one.
     #[test]
     fn subset_built_medium_matches_the_all_built_one() {
         use crate::pathloss::DualSlope;
@@ -2304,49 +2339,67 @@ mod tests {
         ];
         let (mut partly_culled_unbuilt, mut split_deafness) = (false, false);
         for (name, positions) in &fields {
+            let n = positions.len();
+            let all = StationRoles::unrestricted(n);
             for cull in culls {
                 let tx_power = match cull {
                     CullPolicy::Audible { tx_power, .. } => tx_power,
                     CullPolicy::Full => Dbm(15.0),
                 };
-                for (mask_name, mask) in subset_masks(positions.len(), 23) {
-                    let tag = format!("{name} {cull:?} built for {mask_name}");
-                    let mut full = Medium::new(positions.clone(), shadowing(), config(cull));
-                    let mut sub = Medium::for_transmitters(
-                        positions.clone(),
-                        shadowing(),
-                        config(cull),
-                        &mask,
-                    );
-                    assert_eq!(sub.built.is_none(), !mask.contains(&false), "{tag}");
-                    assert_subset_matches_full(&sub, &full, &tag);
-                    let n = positions.len();
-                    partly_culled_unbuilt |= (0..n).any(|t| {
-                        !mask[t] && (1..n - 1).contains(&sub.audible_count(NodeId(t as u32)))
-                    });
-                    for cs_threshold in [Dbm(-101.5), Dbm(-80.0)] {
-                        let deaf = sub.deaf_receivers(&mask, tx_power, cs_threshold);
-                        assert_eq!(
-                            deaf,
-                            full.deaf_receivers(&mask, tx_power, cs_threshold),
-                            "{tag} deaf at {cs_threshold:?}"
-                        );
+                for (mask_name, mask) in subset_masks(n, 23) {
+                    let moving = StationRoles {
+                        transmitters: mask.clone(),
+                        fixed: None,
+                    };
+                    let m = Medium::new(positions.clone(), shadowing(), config(cull), &moving);
+                    assert!(m.lanes.iter().all(|&l| l == Lane::Built), "{mask_name}");
+                    for cs_threshold in CS_THRESHOLDS {
+                        let tag =
+                            format!("{name} {cull:?} built for {mask_name} at {cs_threshold:?}");
+                        let mut full =
+                            Medium::new(positions.clone(), shadowing(), config(cull), &all);
+                        let roles = StationRoles {
+                            transmitters: mask.clone(),
+                            fixed: Some((tx_power, cs_threshold)),
+                        };
+                        let mut sub =
+                            Medium::new(positions.clone(), shadowing(), config(cull), &roles);
+                        let silent = mask.contains(&false);
+                        for (t, &tx) in mask.iter().enumerate() {
+                            assert_eq!(sub.is_built(t), tx || !silent, "{tag} {t}");
+                        }
+                        let deaf: Vec<bool> =
+                            (0..n).map(|t| sub.is_deaf(NodeId(t as u32))).collect();
+                        if silent {
+                            assert_eq!(
+                                deaf,
+                                full.deaf_receivers(&mask, tx_power, cs_threshold),
+                                "{tag} deaf"
+                            );
+                        } else {
+                            assert!(!deaf.contains(&true), "{tag}: no silent station, none deaf");
+                        }
+                        assert_subset_matches_full(&sub, &full, &tag);
+                        partly_culled_unbuilt |= (0..n).any(|t| {
+                            !mask[t] && (1..n - 1).contains(&sub.audible_count(NodeId(t as u32)))
+                        });
                         split_deafness |=
                             (0..n).any(|t| !mask[t] && !deaf[t]) && deaf.contains(&true);
+                        let senders: Vec<usize> = (0..n).filter(|&t| mask[t]).collect();
+                        for (f, &src) in senders.iter().cycle().take(3 * senders.len()).enumerate()
+                        {
+                            let now = SimTime::from_micros(f as u64 * 900 + 1);
+                            assert_same_frame(
+                                &mut sub,
+                                &mut full,
+                                NodeId(src as u32),
+                                tx_power,
+                                now,
+                                &tag,
+                            );
+                        }
+                        assert_subset_matches_full(&sub, &full, &format!("{tag} after frames"));
                     }
-                    let senders: Vec<usize> = (0..mask.len()).filter(|&t| mask[t]).collect();
-                    for (f, &src) in senders.iter().cycle().take(3 * senders.len()).enumerate() {
-                        let now = SimTime::from_micros(f as u64 * 900 + 1);
-                        assert_same_frame(
-                            &mut sub,
-                            &mut full,
-                            NodeId(src as u32),
-                            tx_power,
-                            now,
-                            &tag,
-                        );
-                    }
-                    assert_subset_matches_full(&sub, &full, &format!("{tag} after frames"));
                 }
             }
         }
@@ -2360,20 +2413,21 @@ mod tests {
         );
     }
 
-    /// A three-station Full-fanout medium built for `mask`.
+    /// A Full-fanout medium over stations at `xs` (m along a line), built
+    /// from fixed roles over `mask` with the DWL-650's TX power and
+    /// carrier-sense threshold.
+    fn fixed_medium(xs: &[f64], mask: &[bool]) -> Medium {
+        let positions = xs.iter().map(|&x| Position::on_line(x)).collect();
+        let roles = StationRoles {
+            transmitters: mask.to_vec(),
+            fixed: Some((Dbm(15.0), Dbm(-101.5))),
+        };
+        medium_for(positions, DayProfile::clear(), &roles)
+    }
+
+    /// A three-station line, 30 m apart: every station hears every other.
     fn subset_medium(mask: &[bool]) -> Medium {
-        let day = DayProfile::clear();
-        Medium::for_transmitters(
-            (0..3).map(|i| Position::on_line(i as f64 * 30.0)).collect(),
-            Shadowing::new(day.clone(), SimRng::from_seed(5)),
-            MediumConfig {
-                path_loss: LogDistance::anchored_at_free_space_1m(3.0).into(),
-                day,
-                propagation_delay: SimDuration::from_micros(1),
-                cull: CullPolicy::Full,
-            },
-            mask,
-        )
+        fixed_medium(&[0.0, 30.0, 60.0], mask)
     }
 
     #[test]
@@ -2406,10 +2460,13 @@ mod tests {
         m.audible_set(NodeId(2));
     }
 
+    /// One guard for both premises an epoch commit would break: a
+    /// station whose slice is not built, and a deaf one.
     #[test]
     #[should_panic(expected = "epoch commits require every audible slice built")]
     fn epoch_commit_on_a_partly_built_medium_panics() {
-        let mut m = subset_medium(&[false, true, true]);
+        let mut m = fixed_medium(&[0.0, 30.0, 60.0, 60_000.0], &[true, true, false, false]);
+        assert!(!m.is_deaf(NodeId(2)) && m.is_deaf(NodeId(3)));
         m.commit_epoch(&[(NodeId(1), Position::on_line(45.0))]);
     }
 
@@ -2464,6 +2521,7 @@ mod tests {
                     margin: Db(CULL_MARGIN_DB),
                 },
             },
+            &StationRoles::unrestricted(4096),
         );
         let mut examined = 0usize;
         for p in &positions {
@@ -2562,34 +2620,39 @@ mod tests {
 
     /// Skipping a receiver draws nothing from any other link: the other
     /// receivers' powers are bitwise those of a medium that skips none.
+    /// The skipped receivers are the deaf ones fixed roles leave: two
+    /// silent stations kilometres from every transmitter, while a silent
+    /// one among them still listens.
     #[test]
     fn elided_receivers_leave_other_links_bitwise_unchanged() {
-        let positions: Vec<Position> = (0..6).map(|i| Position::on_line(i as f64 * 40.0)).collect();
-        let mut full = medium(positions.clone(), false);
-        let mut elided = medium(positions, false);
-        let skip = vec![false, false, true, false, true, false];
-        elided.elide_receivers(skip.clone());
+        let xs = [0.0, 40.0, 3_000.0, 80.0, 6_000.0, 120.0, 160.0];
+        let mask = [true, true, false, true, false, false, true];
+        let mut elided = fixed_medium(&xs, &mask);
+        let skip: Vec<bool> = (0..xs.len())
+            .map(|t| elided.is_deaf(NodeId(t as u32)))
+            .collect();
+        assert_eq!(skip, [false, false, true, false, true, false, false]);
+        let positions: Vec<Position> = xs.iter().map(|&x| Position::on_line(x)).collect();
+        let mut full = medium_for(
+            positions,
+            DayProfile::clear(),
+            &StationRoles::unrestricted(7),
+        );
+        let senders: Vec<u32> = (0..7).filter(|&t| mask[t as usize]).collect();
         for frame in 0..12u64 {
             let now = SimTime::from_micros(frame * 700);
-            let src = NodeId((frame % 6) as u32);
+            let src = NodeId(senders[frame as usize % senders.len()]);
             let (_, _, all) = full.transmit(src, Dbm(15.0), PhyRate::R2, 100, Preamble::Long, now);
             let (_, _, kept) =
                 elided.transmit(src, Dbm(15.0), PhyRate::R2, 100, Preamble::Long, now);
             let expected: Vec<_> = all.iter().filter(|(rx, _)| !skip[rx.index()]).collect();
+            assert!(expected.len() < all.len());
             assert_eq!(kept.len(), expected.len());
             for ((rx_a, a), (rx_b, b)) in expected.into_iter().zip(&kept) {
                 assert_eq!(rx_a, rx_b);
                 assert_eq!(a.rx_power.0.to_bits(), b.rx_power.0.to_bits());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "receiver elision requires static positions")]
-    fn epoch_commit_with_elided_receivers_panics() {
-        let mut m = medium(vec![Position::on_line(0.0), Position::on_line(10.0)], true);
-        m.elide_receivers(vec![false, true]);
-        m.commit_epoch(&[(NodeId(1), Position::on_line(20.0))]);
     }
 
     #[test]

@@ -332,6 +332,9 @@ mod tests {
         assert!(cache.load(&s).is_none());
         std::fs::write(cache.path_for(s.key()), b"{\"version\":\"other/v9\"}").expect("write");
         assert!(cache.load(&s).is_none());
+        // Nesting deep enough to overflow a recursive parser's stack.
+        std::fs::write(cache.path_for(s.key()), "[".repeat(200_000)).expect("write");
+        assert!(cache.load(&s).is_none());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 }

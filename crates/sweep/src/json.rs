@@ -77,8 +77,10 @@ pub fn get_f64_array(obj: &[(String, JsonValue)], name: &str) -> Option<Vec<f64>
 /// content is an error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -89,9 +91,18 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// The deepest container nesting [`parse`] accepts. Cache entries nest
+/// three deep; the limit keeps a hostile document from exhausting the
+/// recursive parser's stack, which would abort the process instead of
+/// returning `Err`.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -130,8 +141,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -143,6 +154,23 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one container with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -222,13 +250,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
+                    // Copy the run up to the next quote or backslash in
+                    // one piece. Both are ASCII, so the run ends on a
+                    // char boundary of the `&str` input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or_else(|| "empty".to_owned())?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
                 None => return Err("unterminated string".to_owned()),
             }
@@ -297,6 +328,26 @@ mod tests {
                 JsonValue::Bool(false)
             ])
         );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(200_000);
+            assert!(parse(&deep).is_err(), "{open:?} × 200k should fail");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok(), "{MAX_DEPTH} levels parse");
+        let past = format!("[{at_limit}]");
+        assert!(parse(&past).is_err(), "{} levels fail", MAX_DEPTH + 1);
+    }
+
+    #[test]
+    fn long_and_multibyte_strings_round_trip() {
+        let body = "é😀a\"b\\c/".repeat(50_000);
+        let doc = format!("\"{}\"", body.replace('\\', "\\\\").replace('"', "\\\""));
+        assert_eq!(parse(&doc).expect("parse"), JsonValue::Str(body));
+        assert!(parse("\"é😀").is_err(), "unterminated");
     }
 
     #[test]
