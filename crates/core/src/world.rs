@@ -1,6 +1,7 @@
 //! The simulation world: event dispatch across nodes and the medium.
 //!
-//! The [`World`] owns the simulator, the medium, and every station. Each
+//! The [`World`] owns the simulator, the medium, and the state of every
+//! station that is not deaf (see [`World::with_probe`]). Each
 //! popped event is routed to the owning station's PHY/MAC/transport; the
 //! actions they emit (transmissions, timers, deliveries) are executed
 //! immediately, possibly recursing (a delivered TCP segment produces an
@@ -153,6 +154,32 @@ const SCOPE_RESPONSE_BUILD: usize = 21;
 /// Dense per-station timer-slot count: one slot per [`TimerKind`].
 const MAC_TIMER_SLOTS: usize = 8;
 
+/// The `station_nodes` entry of a deaf station, which has no node.
+const NO_NODE: u32 = u32::MAX;
+
+/// A station's substream label: `prefix` then the station's decimal
+/// index, the bytes `format!` would produce, written into a stack buffer
+/// (a 4-byte prefix plus at most ten digits). Returns the buffer and the
+/// label's length.
+fn station_label(prefix: &[u8; 4], station: u32) -> ([u8; 14], usize) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut rest = station;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let mut label = [0u8; 14];
+    let len = prefix.len() + digits.len() - at;
+    label[..prefix.len()].copy_from_slice(prefix);
+    label[prefix.len()..len].copy_from_slice(&digits[at..]);
+    (label, len)
+}
+
 /// The dense timer-table slot of a [`TimerKind`] (same order as the MAC
 /// kind scopes in [`PROBE_SCOPES`]).
 fn timer_slot(kind: TimerKind) -> usize {
@@ -214,7 +241,18 @@ impl<T> BufPool<T> {
 pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     sim: Simulator<Event>,
     medium: Medium,
+    /// The stations that are not deaf, in station order. Handlers take
+    /// an index into this table (`idx`), found once per event through
+    /// [`World::node_idx`].
     nodes: Vec<Node<S>>,
+    /// Each station's index into `nodes`, [`NO_NODE`] for a deaf one.
+    /// Empty when no station is deaf: then a station's index is its id.
+    station_nodes: Vec<u32>,
+    /// One deaf station, built like any other and never touched by the
+    /// event loop: its row, stamped with each deaf station's id, is
+    /// every deaf station's report row. `Some` only if a station is
+    /// deaf.
+    deaf_template: Option<Box<Node<S>>>,
     sink: S,
     probe: P,
     /// Recursion depth of `apply_mac_actions`: only the outermost call
@@ -227,10 +265,11 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     /// lookup a binary search over a handful of concurrent entries — no
     /// hashing on the signal-start/end hot path.
     in_flight: Vec<(TxId, InFlight)>,
-    /// Dense per-station timer table: slot `node * MAC_TIMER_SLOTS +
-    /// timer_slot(kind)`. Replaces a `HashMap` keyed on `(node, kind)` —
-    /// MAC timers are armed/cancelled several times per frame exchange,
-    /// making this one of the hottest state tables in the world.
+    /// Dense per-station timer table: slot `idx * MAC_TIMER_SLOTS +
+    /// timer_slot(kind)` for the station at `nodes[idx]`. Replaces a
+    /// `HashMap` keyed on `(node, kind)` — MAC timers are armed/cancelled
+    /// several times per frame exchange, making this one of the hottest
+    /// state tables in the world.
     mac_timers: Vec<Option<EventHandle>>,
     rto_timers: HashMap<(u32, u32), EventHandle>,
     delack_timers: HashMap<(u32, u32), EventHandle>,
@@ -328,9 +367,14 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// [transmitter set](World::transmitters), it builds only the
     /// transmitters' audible slices, and frames skip every deaf receiver:
     /// a silent station that no transmitter can make detect a preamble or
-    /// sense energy (see [`Medium::new`]). Neither changes a draw or a PHY
-    /// call with an observable effect, so the report and the trace are
-    /// the same as with every slice built and full scatter.
+    /// sense energy (see [`Medium::new`]). A deaf station gets no node
+    /// state either: no PHY, MAC or substreams, no timer slots and no
+    /// share of the event-queue reserve. Its report row is that of one
+    /// untouched station folded to the run's end and stamped with its id,
+    /// which is exact because an untouched station's row depends on
+    /// neither its id nor its streams. None of this changes a draw or a
+    /// PHY call with an observable effect, so the report and the trace
+    /// are the same as with every station built and full scatter.
     pub fn with_probe(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
         let roles = station_roles(&scenario);
         World::assemble(scenario, sink, probe, roles)
@@ -378,27 +422,47 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         let links_built = medium.built_link_count() as u64;
         let mut radio = radio;
         radio.preamble = mac.preamble;
-        let mut nodes = Vec::with_capacity(positions.len());
-        for i in 0..positions.len() {
-            let id = NodeId(i as u32);
+        let new_node = |id: NodeId| {
+            let (phy_label, phy_len) = station_label(b"phy/", id.0);
+            let (mac_label, mac_len) = station_label(b"mac/", id.0);
             let phy = PhyState::with_sink(
                 radio,
-                master.substream(format!("phy/{i}").as_bytes()),
+                master.substream(&phy_label[..phy_len]),
                 id,
                 sink.clone(),
             );
             let dcf: DcfMac<Packet, S> = DcfMac::with_sink(
                 id,
                 mac,
-                master.substream(format!("mac/{i}").as_bytes()),
+                master.substream(&mac_label[..mac_len]),
                 sink.clone(),
             );
-            nodes.push(Node::new(id, phy, dcf));
+            Node::new(id, phy, dcf)
+        };
+        let n = positions.len();
+        let mut nodes = Vec::with_capacity(n - medium.deaf_count());
+        let mut station_nodes = Vec::new();
+        let mut deaf_template = None;
+        if medium.deaf_count() == 0 {
+            nodes.extend((0..n).map(|i| new_node(NodeId(i as u32))));
+        } else {
+            station_nodes.reserve_exact(n);
+            for i in 0..n {
+                let id = NodeId(i as u32);
+                if medium.is_deaf(id) {
+                    station_nodes.push(NO_NODE);
+                    deaf_template.get_or_insert_with(|| Box::new(new_node(id)));
+                } else {
+                    station_nodes.push(nodes.len() as u32);
+                    nodes.push(new_node(id));
+                }
+            }
         }
         let mut sim = Simulator::new();
         // Pending events are bounded by a few timers per station plus a
         // few per transmission and flow; pre-size the queue so a late
-        // population peak never reallocates mid-run.
+        // population peak never reallocates mid-run. A deaf station never
+        // has an event pending.
         sim.reserve(16 * (nodes.len() + flows.len()).max(4));
         for f in &flows {
             sim.schedule_at(SimTime::ZERO + f.start, Event::FlowStart { flow: f.id });
@@ -412,17 +476,19 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             sim.schedule_in_trailing(m.epoch, Event::TopologyUpdate);
             (engine, m.epoch)
         });
-        let n_stations = nodes.len();
+        let n_nodes = nodes.len();
         let mut world = World {
             sim,
             medium,
             nodes,
+            station_nodes,
+            deaf_template,
             sink,
             probe,
             mac_actions_depth: 0,
             flows,
             in_flight: Vec::new(),
-            mac_timers: vec![None; n_stations * MAC_TIMER_SLOTS],
+            mac_timers: vec![None; n_nodes * MAC_TIMER_SLOTS],
             rto_timers: HashMap::new(),
             delack_timers: HashMap::new(),
             next_tag: 1,
@@ -448,44 +514,52 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
 
     fn install_endpoints(&mut self) {
         for f in self.flows.clone() {
+            let (src, dst) = (self.node_idx(f.src), self.node_idx(f.dst));
             match f.traffic {
                 Traffic::SaturatedUdp {
                     payload_bytes,
                     backlog,
                 } => {
-                    self.nodes[f.src.index()].saturated_sources.insert(
+                    self.nodes[src].saturated_sources.insert(
                         f.id,
                         SaturatedSource::new(f.id, f.src, f.dst, payload_bytes, backlog),
                     );
-                    self.nodes[f.src.index()].saturated_flows.push(f.id);
-                    self.nodes[f.dst.index()]
-                        .udp_sinks
-                        .insert(f.id, UdpSink::default());
+                    self.nodes[src].saturated_flows.push(f.id);
+                    self.nodes[dst].udp_sinks.insert(f.id, UdpSink::default());
                 }
                 Traffic::CbrUdp {
                     payload_bytes,
                     interval,
                     limit,
                 } => {
-                    self.nodes[f.src.index()].cbr_sources.insert(
+                    self.nodes[src].cbr_sources.insert(
                         f.id,
                         CbrSource::new(f.id, f.src, f.dst, payload_bytes, interval, limit),
                     );
-                    self.nodes[f.dst.index()]
-                        .udp_sinks
-                        .insert(f.id, UdpSink::default());
+                    self.nodes[dst].udp_sinks.insert(f.id, UdpSink::default());
                 }
                 Traffic::BulkTcp { mss } => {
                     let cfg = TcpConfig::new(mss);
-                    self.nodes[f.src.index()].tcp_senders.insert(
+                    self.nodes[src].tcp_senders.insert(
                         f.id,
                         TcpSender::with_sink(f.id, f.src, f.dst, cfg, self.sink.clone()),
                     );
-                    self.nodes[f.dst.index()]
+                    self.nodes[dst]
                         .tcp_receivers
                         .insert(f.id, TcpReceiver::new(f.id, f.dst, f.src, cfg));
                 }
             }
+        }
+    }
+
+    /// The index into `nodes` of station `id`, which must not be deaf.
+    /// One array read at most: only a world with deaf stations maps.
+    #[inline]
+    fn node_idx(&self, id: NodeId) -> usize {
+        if self.station_nodes.is_empty() {
+            id.index()
+        } else {
+            self.station_nodes[id.index()] as usize
         }
     }
 
@@ -596,39 +670,38 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             Event::SignalEnd { tx_id } => self.on_signal_end(tx_id, now),
             Event::TxAirEnd { node, tx_id } => self.on_tx_air_end(node, tx_id, now),
             Event::MacTimer { node, kind } => {
-                self.mac_timers[node.index() * MAC_TIMER_SLOTS + timer_slot(kind)] = None;
+                let idx = self.node_idx(node);
+                self.mac_timers[idx * MAC_TIMER_SLOTS + timer_slot(kind)] = None;
                 let mut actions = self.mac_action_pool.get();
                 if kind == TimerKind::SifsResponse {
                     // The SIFS-response build (precomputed CTS/ACK frame
                     // handed to the transmit path) gets its own phase
                     // scope so `engine.profile` keeps it visible.
                     let tick = self.probe.tick();
-                    self.nodes[node.index()]
-                        .mac
-                        .on_timer(kind, now, &mut actions);
+                    self.nodes[idx].mac.on_timer(kind, now, &mut actions);
                     self.probe.record(SCOPE_RESPONSE_BUILD, tick);
                 } else {
-                    self.nodes[node.index()]
-                        .mac
-                        .on_timer(kind, now, &mut actions);
+                    self.nodes[idx].mac.on_timer(kind, now, &mut actions);
                 }
-                self.apply_mac_actions(node.index(), actions, now);
+                self.apply_mac_actions(idx, actions, now);
             }
             Event::RtoTimer { node, flow } => {
                 self.rto_timers.remove(&(node.0, flow.0));
+                let idx = self.node_idx(node);
                 let mut outs = self.tcp_out_pool.get();
-                if let Some(s) = self.nodes[node.index()].tcp_senders.get_mut(&flow) {
+                if let Some(s) = self.nodes[idx].tcp_senders.get_mut(&flow) {
                     s.on_rto(now, &mut outs);
                 }
-                self.apply_tcp_outputs(node.index(), flow, outs, now);
+                self.apply_tcp_outputs(idx, flow, outs, now);
             }
             Event::DelackTimer { node, flow } => {
                 self.delack_timers.remove(&(node.0, flow.0));
+                let idx = self.node_idx(node);
                 let mut outs = self.tcp_out_pool.get();
-                if let Some(r) = self.nodes[node.index()].tcp_receivers.get_mut(&flow) {
+                if let Some(r) = self.nodes[idx].tcp_receivers.get_mut(&flow) {
                     r.on_delack_timer(now, &mut outs);
                 }
-                self.apply_tcp_outputs(node.index(), flow, outs, now);
+                self.apply_tcp_outputs(idx, flow, outs, now);
             }
             Event::CbrTick { node, flow } => self.on_cbr_tick(node, flow, now),
             Event::MeasureStart => {
@@ -673,23 +746,24 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             .iter()
             .find(|f| f.id == flow)
             .expect("known flow");
+        let src = self.node_idx(spec.src);
         match spec.traffic {
-            Traffic::SaturatedUdp { .. } => self.refill_saturated(spec.src.index(), now),
+            Traffic::SaturatedUdp { .. } => self.refill_saturated(src, now),
             Traffic::CbrUdp { .. } => self.on_cbr_tick(spec.src, flow, now),
             Traffic::BulkTcp { .. } => {
                 let mut outs = self.tcp_out_pool.get();
-                self.nodes[spec.src.index()]
+                self.nodes[src]
                     .tcp_senders
                     .get_mut(&flow)
                     .expect("sender installed")
                     .start(now, &mut outs);
-                self.apply_tcp_outputs(spec.src.index(), flow, outs, now);
+                self.apply_tcp_outputs(src, flow, outs, now);
             }
         }
     }
 
     fn on_cbr_tick(&mut self, node: NodeId, flow: FlowId, now: SimTime) {
-        let idx = node.index();
+        let idx = self.node_idx(node);
         let Some(src) = self.nodes[idx].cbr_sources.get_mut(&flow) else {
             return;
         };
@@ -902,13 +976,15 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         // overlap (so a receiver hears at most one signal per
         // transmitter). Checked in release builds too.
         assert!(
-            self.roles.transmitters[idx],
-            "station {idx} transmitted but is outside the transmitter set \
-             (no flow routes through it); deaf-receiver elision would be unsound"
+            self.roles.transmitters[source.index()],
+            "station {} transmitted but is outside the transmitter set \
+             (no flow routes through it); deaf-receiver elision would be unsound",
+            source.0
         );
         assert!(
             !self.nodes[idx].phy.is_transmitting(),
-            "station {idx} started a frame while its previous one is on the air"
+            "station {} started a frame while its previous one is on the air",
+            source.0
         );
         let radio = *self.nodes[idx].phy.config();
         // Scatter into a pooled buffer; it rides inside the `InFlight`
@@ -990,10 +1066,11 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         for &(rx, ref sig) in &deliveries {
             // Scope only the PHY arrival bookkeeping: `sync_cs` may
             // cascade into MAC actions, which time themselves.
+            let idx = self.node_idx(rx);
             let tick = self.probe.tick();
-            self.nodes[rx.index()].phy.signal_start(sig, now);
+            self.nodes[idx].phy.signal_start(sig, now);
             self.probe.record(SCOPE_ARRIVAL_SCAN, tick);
-            self.sync_cs(rx.index(), now);
+            self.sync_cs(idx, now);
         }
         let i = self.in_flight_idx(tx_id);
         self.in_flight[i].1.deliveries = deliveries;
@@ -1015,7 +1092,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// order from [`World::on_signal_end`], exactly like the unbatched
     /// per-receiver events did.
     fn signal_end_at(&mut self, rx: NodeId, tx_id: TxId, now: SimTime) {
-        let idx = rx.index();
+        let idx = self.node_idx(rx);
         // `signal_end` is where interference integration and BER
         // evaluation happen — the per-receiver decode cost.
         let tick = self.probe.tick();
@@ -1063,7 +1140,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
 
     fn on_tx_air_end(&mut self, node: NodeId, tx_id: TxId, now: SimTime) {
         let _ = tx_id;
-        let idx = node.index();
+        let idx = self.node_idx(node);
         if S::ENABLED {
             self.sink
                 .record(now, &TraceRecord::FrameTxEnd { node: node.0 });
@@ -1093,13 +1170,14 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     // --- reporting -------------------------------------------------------------
 
     fn delivered_bytes(&self, spec: &FlowSpec) -> u64 {
+        let dst = &self.nodes[self.node_idx(spec.dst)];
         match spec.traffic {
-            Traffic::SaturatedUdp { .. } | Traffic::CbrUdp { .. } => self.nodes[spec.dst.index()]
+            Traffic::SaturatedUdp { .. } | Traffic::CbrUdp { .. } => dst
                 .udp_sinks
                 .get(&spec.id)
                 .map(|s| s.payload_bytes)
                 .unwrap_or(0),
-            Traffic::BulkTcp { .. } => self.nodes[spec.dst.index()]
+            Traffic::BulkTcp { .. } => dst
                 .tcp_receivers
                 .get(&spec.id)
                 .map(|r| r.delivered_bytes())
@@ -1111,7 +1189,11 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         // Fold the tail span into each station's airtime ledgers (the
         // PHY's radio-state split and the MAC's defer refinement).
         let end = (SimTime::ZERO + self.duration).max(self.sim.now());
-        for n in &mut self.nodes {
+        for n in self
+            .nodes
+            .iter_mut()
+            .chain(self.deaf_template.as_deref_mut())
+        {
             n.phy.account_airtime(end);
             n.mac.account_airtime(end);
         }
@@ -1123,29 +1205,24 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 let delivered_bytes = self.delivered_bytes(f);
                 let measured =
                     delivered_bytes.saturating_sub(*self.snapshot.get(&f.id).unwrap_or(&0));
-                let (mean_delay_ms, max_delay_ms) = self.nodes[f.dst.index()]
+                let (src, dst) = (
+                    &self.nodes[self.node_idx(f.src)],
+                    &self.nodes[self.node_idx(f.dst)],
+                );
+                let (mean_delay_ms, max_delay_ms) = dst
                     .udp_sinks
                     .get(&f.id)
                     .map(|s| (s.mean_delay_ms(), s.delay_max_ns as f64 / 1e6))
                     .unwrap_or((0.0, 0.0));
                 let (offered, delivered_packets, loss) = match f.traffic {
                     Traffic::SaturatedUdp { .. } | Traffic::CbrUdp { .. } => {
-                        let offered = self.nodes[f.src.index()]
+                        let offered = src
                             .saturated_sources
                             .get(&f.id)
                             .map(|s| s.emitted())
-                            .or_else(|| {
-                                self.nodes[f.src.index()]
-                                    .cbr_sources
-                                    .get(&f.id)
-                                    .map(|s| s.emitted())
-                            })
+                            .or_else(|| src.cbr_sources.get(&f.id).map(|s| s.emitted()))
                             .unwrap_or(0);
-                        let got = self.nodes[f.dst.index()]
-                            .udp_sinks
-                            .get(&f.id)
-                            .map(|s| s.datagrams)
-                            .unwrap_or(0);
+                        let got = dst.udp_sinks.get(&f.id).map(|s| s.datagrams).unwrap_or(0);
                         let loss = if offered > 0 {
                             1.0 - got as f64 / offered as f64
                         } else {
@@ -1154,7 +1231,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                         (offered, got, loss)
                     }
                     Traffic::BulkTcp { mss } => {
-                        let offered = self.nodes[f.src.index()]
+                        let offered = src
                             .tcp_senders
                             .get(&f.id)
                             .map(|s| s.stats().segments_sent)
@@ -1177,32 +1254,21 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 }
             })
             .collect();
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| {
-                // Merge the MAC's defer ledger into the PHY's airtime
-                // split: the five refinement categories partition the
-                // PHY's idle share (bit-exactly — asserted by the
-                // airtime conservation tests), giving the exhaustive
-                // channel-state accounting in one struct.
-                let mut airtime = n.phy.airtime();
-                let ledger = n.mac.airtime_ledger();
-                airtime.nav_ns = ledger.nav_ns;
-                airtime.difs_ns = ledger.difs_ns;
-                airtime.backoff_ns = ledger.backoff_ns;
-                airtime.frozen_ns = ledger.frozen_ns;
-                airtime.quiet_ns = ledger.quiet_ns;
-                NodeReport {
-                    node: n.id,
-                    mac: n.mac.counters(),
-                    phy: n.phy.counters(),
-                    arf: n.mac.arf_counters(),
-                    final_data_rate: n.mac.current_data_rate(),
-                    airtime,
-                }
-            })
-            .collect();
+        let nodes = match self.deaf_template.as_deref().map(node_report) {
+            None => self.nodes.iter().map(node_report).collect(),
+            Some(deaf_row) => self
+                .station_nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| match k {
+                    NO_NODE => NodeReport {
+                        node: NodeId(i as u32),
+                        ..deaf_row
+                    },
+                    k => node_report(&self.nodes[k as usize]),
+                })
+                .collect(),
+        };
         RunReport {
             duration: self.duration,
             warmup: self.warmup,
@@ -1215,9 +1281,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 mobility: self.mobility_stats,
                 queue_high_water: self.sim.queue_high_water(),
                 deliveries: self.deliveries,
-                deaf_stations: (0..self.nodes.len())
-                    .filter(|&i| self.medium.is_deaf(NodeId(i as u32)))
-                    .count() as u64,
+                deaf_stations: self.medium.deaf_count() as u64,
                 links_built: self.links_built,
                 // The accounted horizon (same `end` the airtime ledgers
                 // fold to), not the last event's timestamp: how far the
@@ -1231,10 +1295,33 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     }
 }
 
+/// A station's report row: its counters, and the MAC's defer ledger
+/// merged into the PHY's airtime split. The five refinement categories
+/// partition the PHY's idle share (bit-exactly — asserted by the airtime
+/// conservation tests), giving the exhaustive channel-state accounting in
+/// one struct.
+fn node_report<S: TraceSink>(n: &Node<S>) -> NodeReport {
+    let mut airtime = n.phy.airtime();
+    let ledger = n.mac.airtime_ledger();
+    airtime.nav_ns = ledger.nav_ns;
+    airtime.difs_ns = ledger.difs_ns;
+    airtime.backoff_ns = ledger.backoff_ns;
+    airtime.frozen_ns = ledger.frozen_ns;
+    airtime.quiet_ns = ledger.quiet_ns;
+    NodeReport {
+        node: n.id,
+        mac: n.mac.counters(),
+        phy: n.phy.counters(),
+        arf: n.mac.arf_counters(),
+        final_data_rate: n.mac.current_data_rate(),
+        airtime,
+    }
+}
+
 impl<S: TraceSink + Clone, P: Probe> std::fmt::Debug for World<S, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("stations", &self.nodes.len())
+            .field("stations", &self.medium.station_count())
             .field("flows", &self.flows.len())
             .field("now", &self.sim.now())
             .field("pending", &self.sim.pending())
@@ -1333,7 +1420,7 @@ mod tests {
     /// over every station.
     fn audible_sums<S: TraceSink + Clone, P: Probe>(world: &World<S, P>) -> (u64, u64) {
         let count = |t: usize| world.medium.audible_count(NodeId(t as u32)) as u64;
-        let n = world.nodes.len();
+        let n = world.medium.station_count();
         (
             (0..n).filter(|&t| world.transmitters()[t]).map(count).sum(),
             (0..n).map(count).sum(),
@@ -1345,10 +1432,12 @@ mod tests {
     /// transmit: every slice built, full scatter), each with a JSONL
     /// trace. Asserts the two reports and traces are identical, that each
     /// world stored exactly its transmitters' slices (`links_built`: the
-    /// reference's transmitters are every station), and that every
-    /// station the production medium classified deaf ended the
-    /// full-scatter run with no lock, missed preamble, capture, RX or
-    /// carrier-busy time. Returns the number of deaf stations.
+    /// reference's transmitters are every station), that each world built
+    /// node state for exactly `n − deaf_stations` stations (the reference:
+    /// every station), and that every station the production medium
+    /// classified deaf ended the full-scatter run with no lock, missed
+    /// preamble, capture, RX or carrier-busy time. Returns the number of
+    /// deaf stations.
     fn assert_elision_exact(label: &str, scenario: impl Fn() -> Scenario) -> usize {
         let run = |reference: bool| {
             let sink = SharedSink::new(JsonlSink::new(Vec::new()));
@@ -1359,17 +1448,24 @@ mod tests {
             } else {
                 World::with_probe(scenario(), sink.clone(), NoProbe)
             };
-            let deaf: Vec<bool> = (0..world.nodes.len())
+            let n = world.medium.station_count();
+            let deaf: Vec<bool> = (0..n)
                 .map(|t| world.medium.is_deaf(NodeId(t as u32)))
                 .collect();
             let (transmitter_links, all_links) = audible_sums(&world);
             if reference {
                 assert_eq!(transmitter_links, all_links, "{label}: reference roles");
             }
+            let node_state = world.nodes.len();
             let report = world.run();
             assert_eq!(
                 report.engine.links_built, transmitter_links,
                 "{label}: links built (reference: {reference})"
+            );
+            assert_eq!(
+                node_state as u64,
+                n as u64 - report.engine.deaf_stations,
+                "{label}: stations with node state (reference: {reference})"
             );
             let trace = sink
                 .take()
@@ -1466,8 +1562,9 @@ mod tests {
     /// The static disk4096 sweep-registry scenario (4,096 stations on a
     /// 12 km disk from topology seed 7, saturated UDP 0→1, 2→3, 4→5 at
     /// 2 Mb/s, run seed 1, 300 ms): its transmitters' slices are all that
-    /// construction stores, under 1/20 of every station's. Release-only,
-    /// like the other 4096-station test.
+    /// construction stores, under 1/20 of every station's, and only its
+    /// stations that are not deaf get node state. Release-only, like the
+    /// other 4096-station test.
     #[test]
     #[ignore = "4096-station field; run in release with --ignored"]
     fn disk4096_builds_only_its_transmitters_slices() {
@@ -1481,8 +1578,11 @@ mod tests {
         }
         let world = b.build().into_world();
         let (transmitter_links, all_links) = audible_sums(&world);
+        let node_state = world.nodes.len() as u64;
         let report = world.run();
         assert_eq!(report.engine.links_built, transmitter_links);
+        assert!(report.engine.deaf_stations > 3_500);
+        assert_eq!(node_state, 4096 - report.engine.deaf_stations);
         assert!(
             report.engine.links_built * 20 < all_links,
             "built {} of {all_links} links",
@@ -1500,9 +1600,10 @@ mod tests {
             !world.transmitters().contains(&false),
             "{label}: every station may transmit"
         );
-        let audible: Vec<u64> = (0..world.nodes.len())
+        let audible: Vec<u64> = (0..world.medium.station_count())
             .map(|t| world.medium.audible_count(NodeId(t as u32)) as u64)
             .collect();
+        assert_eq!(world.nodes.len(), audible.len(), "{label}: node state");
         let report = world.run();
         assert_eq!(report.engine.deaf_stations, 0, "{label}");
         assert_eq!(report.engine.links_built, audible.iter().sum(), "{label}");
@@ -1533,12 +1634,17 @@ mod tests {
         )
         .build()
         .into_world();
-        let audible: Vec<u64> = (0..world.nodes.len())
+        let audible: Vec<u64> = (0..world.medium.station_count())
             .map(|t| world.medium.audible_count(NodeId(t as u32)) as u64)
             .collect();
         let (transmitter_links, all_links) = audible_sums(&world);
         assert!(transmitter_links < all_links);
+        let node_state = world.nodes.len() as u64;
         let report = world.run();
+        assert_eq!(
+            node_state,
+            audible.len() as u64 - report.engine.deaf_stations
+        );
         assert_eq!(
             (report.engine.deaf_stations, report.engine.deliveries),
             (982, 75_705),
@@ -1631,6 +1737,17 @@ mod tests {
                 .mobility(crate::MobilityConfig::waypoint(20.0))
                 .build(),
         );
+    }
+
+    #[test]
+    fn station_labels_match_format() {
+        for i in [0, 9, 10, 4095, u32::MAX] {
+            for prefix in [b"phy/", b"mac/"] {
+                let (label, len) = station_label(prefix, i);
+                let expected = format!("{}{i}", std::str::from_utf8(prefix).unwrap());
+                assert_eq!(&label[..len], expected.as_bytes());
+            }
+        }
     }
 
     /// The derived roles: every station on a flow's route, forward and

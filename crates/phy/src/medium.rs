@@ -2,10 +2,11 @@
 //!
 //! `Medium` is pure computation — the event loop lives in the simulation
 //! driver. When a station starts transmitting, the driver calls
-//! [`Medium::transmit`], which samples the per-receiver powers **once**
-//! (path loss + that instant's shadowing) and returns them; the driver
-//! then schedules signal-start/end events at each receiver after the
-//! propagation delay.
+//! [`Medium::transmit_into`], which samples the per-receiver powers
+//! **once** (path loss + that instant's shadowing) into a recycled
+//! buffer; the driver then schedules one signal-start and one signal-end
+//! event for the whole frame, since the propagation delay is the same at
+//! every receiver.
 
 use desim::{SimDuration, SimTime};
 
@@ -161,6 +162,8 @@ pub struct Medium {
     /// [`StationRoles`]: whether its audible slice is stored, and whether
     /// [`Medium::transmit_into`] skips it as a receiver.
     lanes: Vec<Lane>,
+    /// How many `lanes` are [`Lane::Deaf`].
+    deaf_count: usize,
     next_tx: u64,
 }
 
@@ -661,12 +664,14 @@ impl Medium {
             cull_radius: radius,
             grid,
             lanes,
+            deaf_count: 0,
             next_tx: 0,
         };
         if let Some((tx_power, cs_threshold)) = silent_fixed {
             let deaf = medium.deaf_receivers(&roles.transmitters, tx_power, cs_threshold);
             for i in (0..n).filter(|&i| deaf[i]) {
                 medium.lanes[i] = Lane::Deaf;
+                medium.deaf_count += 1;
             }
         }
         medium
@@ -835,6 +840,12 @@ impl Medium {
         self.lanes[station.index()] == Lane::Deaf
     }
 
+    /// How many stations [`Medium::is_deaf`] holds for: O(1), counted at
+    /// construction.
+    pub fn deaf_count(&self) -> usize {
+        self.deaf_count
+    }
+
     /// Classifies every station as **deaf** or listening, given the
     /// complete set of stations that may ever transmit (`transmitters`,
     /// one flag per station): a deaf station never transmits, and no
@@ -907,6 +918,10 @@ impl Medium {
     /// random trajectory. A pair without a slot (culled, or sent from a
     /// station whose slice is not built) samples the HashMap store,
     /// which realizes the same per-link stream bit for bit.
+    ///
+    /// Test-only: the event loop samples CSR slots through
+    /// [`Medium::transmit_into`].
+    #[cfg(test)]
     pub fn rx_power(&mut self, tx: NodeId, rx: NodeId, tx_power: Dbm, now: SimTime) -> Dbm {
         match self.slot_of(tx, rx) {
             Some(slot) => {
@@ -1296,10 +1311,10 @@ impl Medium {
         self.live_links = live;
     }
 
-    /// Allocating convenience form of [`Medium::transmit_into`] for tests
-    /// and one-shot callers; the event loop uses the scratch-buffer form.
-    /// Delegates through the same audible-list path so the two forms
-    /// cannot drift.
+    /// Allocating form of [`Medium::transmit_into`] for tests; the event
+    /// loop uses the scratch-buffer form. Delegates through the same
+    /// audible-list path so the two forms cannot drift.
+    #[cfg(test)]
     pub fn transmit(
         &mut self,
         source: NodeId,
@@ -2370,6 +2385,11 @@ mod tests {
                         }
                         let deaf: Vec<bool> =
                             (0..n).map(|t| sub.is_deaf(NodeId(t as u32))).collect();
+                        assert_eq!(
+                            sub.deaf_count(),
+                            deaf.iter().filter(|&&d| d).count(),
+                            "{tag} deaf count"
+                        );
                         if silent {
                             assert_eq!(
                                 deaf,

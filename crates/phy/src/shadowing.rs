@@ -374,6 +374,8 @@ impl Shadowing {
     ///
     /// This is the HashMap-backed path for pairs without a CSR slot; a
     /// slotted link must go through [`Shadowing::sample_slot`] instead.
+    /// Production no longer reaches it: the event loop samples only CSR
+    /// slots, so only tests read this store.
     pub fn sample(&mut self, tx: NodeId, rx: NodeId, distance: Meters, now: SimTime) -> Db {
         let (slow, fast) = self.sigmas(distance);
         if slow == 0.0 && fast == 0.0 {
