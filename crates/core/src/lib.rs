@@ -38,6 +38,7 @@ pub mod hash;
 pub mod mobility;
 pub mod node;
 pub mod range;
+mod receiver;
 pub mod scenario;
 pub mod stats;
 pub mod world;

@@ -5,7 +5,10 @@
 //! popped event is routed to the owning station's PHY/MAC/transport; the
 //! actions they emit (transmissions, timers, deliveries) are executed
 //! immediately, possibly recursing (a delivered TCP segment produces an
-//! ACK, which enqueues at the MAC, which may arm a DIFS timer…).
+//! ACK, which enqueues at the MAC, which may arm a DIFS timer…). In an
+//! untraced world, listeners (silent stations that hear frames) leave
+//! the event loop: their deliveries are logged and replayed after
+//! dispatch through the same receiver step (see the `receiver` module).
 //!
 //! Determinism: all state mutation happens in event order; all randomness
 //! flows from per-component substreams of the scenario seed. Two runs of
@@ -18,19 +21,20 @@ use dot11_mac::{DcfMac, FrameKind, MacAction, MacFrame, MacSdu, TimerKind};
 use dot11_net::{CbrSource, SaturatedSource, TcpConfig};
 use dot11_net::{FlowId, Packet, Segment, StaticRoutes, TcpOutput, TcpReceiver, TcpSender};
 use dot11_phy::{
-    CullPolicy, Medium, MediumConfig, NodeId, PhyState, RxOutcomeKind, Shadowing, StationRoles,
-    TxId, TxSignal, CULL_MARGIN_DB,
+    CullPolicy, Dbm, Medium, MediumConfig, NodeId, PhyState, Shadowing, StationRoles, TxId,
+    TxSignal, CULL_MARGIN_DB,
 };
-use dot11_trace::{FrameClass, NullSink, RxErrorCause, TraceRecord, TraceSink};
+use dot11_trace::{FrameClass, NullSink, TraceRecord, TraceSink};
 
 use crate::mobility::MobilityEngine;
 use crate::node::{Node, UdpSink};
+use crate::receiver::{receive, sense_carrier, Edge, Replay};
 use crate::scenario::{FlowSpec, Scenario, Traffic};
 use crate::stats::{
     EngineStats, EventKindCounts, FlowReport, MobilityStats, NodeReport, RunReport,
 };
 
-fn frame_class(kind: FrameKind) -> FrameClass {
+pub(crate) fn frame_class(kind: FrameKind) -> FrameClass {
     match kind {
         FrameKind::Data => FrameClass::Data,
         FrameKind::Rts => FrameClass::Rts,
@@ -145,9 +149,9 @@ pub const PROBE_SCOPES: [&str; 22] = [
 
 /// Phase-scope indices into [`PROBE_SCOPES`] (the kind scopes occupy
 /// `0..17`).
-const SCOPE_SCATTER: usize = 17;
-const SCOPE_ARRIVAL_SCAN: usize = 18;
-const SCOPE_BER_EVAL: usize = 19;
+pub(crate) const SCOPE_SCATTER: usize = 17;
+pub(crate) const SCOPE_ARRIVAL_SCAN: usize = 18;
+pub(crate) const SCOPE_BER_EVAL: usize = 19;
 const SCOPE_MAC_ACTIONS: usize = 20;
 const SCOPE_RESPONSE_BUILD: usize = 21;
 
@@ -156,6 +160,18 @@ const MAC_TIMER_SLOTS: usize = 8;
 
 /// The `station_nodes` entry of a deaf station, which has no node.
 const NO_NODE: u32 = u32::MAX;
+
+/// The index into a world's `nodes` of station `id`, which must not be
+/// deaf, given its `station_nodes` map. One array read at most: only a
+/// world with deaf stations maps.
+#[inline]
+pub(crate) fn node_of(station_nodes: &[u32], id: NodeId) -> usize {
+    if station_nodes.is_empty() {
+        id.index()
+    } else {
+        station_nodes[id.index()] as usize
+    }
+}
 
 /// A station's substream label: `prefix` then the station's decimal
 /// index, the bytes `format!` would produce, written into a stack buffer
@@ -197,10 +213,20 @@ fn timer_slot(kind: TimerKind) -> usize {
 
 struct InFlight {
     frame: MacFrame<Packet>,
-    /// Per-receiver signals, in station order. Walked by the batched
+    /// Per-receiver signals of the participants (every receiver in a
+    /// traced world), in station order. Walked by the batched
     /// signal-start/end handlers; the buffer is recycled through
     /// `delivery_pool` when the transmission ends.
     deliveries: Vec<(NodeId, TxSignal)>,
+    /// The signal as every receiver sees it but for its power.
+    signal: TxSignal,
+    /// Launch instant and TX power, from which listener powers are
+    /// sampled at replay.
+    launched: SimTime,
+    tx_power: Dbm,
+    /// Listeners the transmission reaches outside the event loop: both
+    /// signal events are logged for replay when this is nonzero.
+    listeners: usize,
 }
 
 /// A stack of recycled `Vec`s for the per-event action/output buffers.
@@ -280,6 +306,10 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     warmup: SimDuration,
     /// Recycled buffers for the hot-path handlers (see [`BufPool`]).
     mac_action_pool: BufPool<MacAction<Packet>>,
+    /// Where the receiver step pushes a station's MAC actions; nearly
+    /// always left empty, and swapped for a pooled buffer when not (see
+    /// [`World::apply_step_actions`]).
+    step_actions: Vec<MacAction<Packet>>,
     tcp_out_pool: BufPool<TcpOutput>,
     /// Recycled scatter buffers for [`Medium::transmit_into`]; each lives
     /// inside an [`InFlight`] entry while its transmission is on the air.
@@ -305,8 +335,11 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     roles: StationRoles,
     /// CSR entries the medium stored at construction.
     links_built: u64,
-    /// Per-receiver signals scattered so far.
+    /// Per-receiver signals delivered so far, scattered in the loop or
+    /// logged for listener replay.
     deliveries: u64,
+    /// The listener log, replayed after dispatch (see [`Replay`]).
+    replay: Replay,
 }
 
 /// The scenario's station roles. The transmitter set is every station
@@ -372,7 +405,11 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// share of the event-queue reserve. Its report row is that of one
     /// untouched station folded to the run's end and stamped with its id,
     /// which is exact because an untouched station's row depends on
-    /// neither its id nor its streams. None of this changes a draw or a
+    /// neither its id nor its streams. Unless `S` records a trace, the
+    /// listeners (silent stations that are not deaf) run outside the
+    /// event loop: their deliveries are logged as the loop dispatches
+    /// them and replayed, listener by listener, before
+    /// [`World::step_until`] returns. None of this changes a draw or a
     /// PHY call with an observable effect, so the report and the trace
     /// are the same as with every station built and full scatter.
     pub fn with_probe(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
@@ -497,6 +534,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             duration,
             warmup,
             mac_action_pool: BufPool::new(),
+            step_actions: Vec::new(),
             tcp_out_pool: BufPool::new(),
             delivery_pool: BufPool::new(),
             packet_scratch: Vec::new(),
@@ -507,6 +545,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             roles,
             links_built,
             deliveries: 0,
+            replay: Replay::new(),
         };
         world.install_endpoints();
         world
@@ -552,15 +591,11 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         }
     }
 
-    /// The index into `nodes` of station `id`, which must not be deaf.
-    /// One array read at most: only a world with deaf stations maps.
+    /// The index into `nodes` of station `id`, which must not be deaf
+    /// (see [`node_of`]).
     #[inline]
     fn node_idx(&self, id: NodeId) -> usize {
-        if self.station_nodes.is_empty() {
-            id.index()
-        } else {
-            self.station_nodes[id.index()] as usize
-        }
+        node_of(&self.station_nodes, id)
     }
 
     /// Runs the scenario to its configured duration and reports.
@@ -590,7 +625,9 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         &self.roles.transmitters
     }
 
-    /// Dispatches events until the next one would land after `end`.
+    /// Dispatches events until the next one would land after `end`, then
+    /// replays the listeners' share of them, so every station's state is
+    /// current when it returns.
     ///
     /// [`World::run`] drives the whole scenario through this; it is public
     /// so instrumentation (e.g. the allocation-profiling tests) can advance
@@ -606,6 +643,18 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             self.handle(now, ev);
             self.probe.record(scope, tick);
         }
+        self.replay_listeners();
+    }
+
+    /// Replays the listener log (see [`Replay::flush`]).
+    fn replay_listeners(&mut self) {
+        self.replay.flush(
+            &mut self.medium,
+            &mut self.nodes,
+            &self.station_nodes,
+            &mut self.sink,
+            &mut self.probe,
+        );
     }
 
     /// Maps an event to its profiler scope index — the same order as
@@ -1000,8 +1049,33 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             now,
             &mut deliveries,
         );
+        // Uniform propagation delay: every receiver shares the arrival and
+        // departure instants, so one event each covers the whole fan-out.
+        let starts_at = now + self.medium.propagation_delay();
+        let signal = TxSignal {
+            tx_id,
+            source,
+            rx_power: Dbm(f64::NAN),
+            rate,
+            mpdu_bytes: frame.mpdu_bytes,
+            preamble: radio.preamble,
+            starts_at,
+            ends_at: starts_at + airtime.total(),
+        };
+        let mut listeners = self.medium.listeners(source).len();
+        if S::ENABLED && listeners > 0 {
+            // A traced world keeps listeners in the loop, walked in
+            // station order with the participants, so its trace records
+            // interleave exactly as they would with every station there.
+            self.medium
+                .sample_listeners(source, radio.tx_power, now, |rx, rx_power| {
+                    deliveries.push((rx, TxSignal { rx_power, ..signal }));
+                });
+            deliveries.sort_unstable_by_key(|&(rx, _)| rx);
+            listeners = 0;
+        }
         self.probe.record(SCOPE_SCATTER, tick);
-        self.deliveries += deliveries.len() as u64;
+        self.deliveries += (deliveries.len() + listeners) as u64;
         let until = now + airtime.total();
         if S::ENABLED {
             self.sink.record(
@@ -1025,25 +1099,35 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 tx_id,
             },
         );
-        if deliveries.is_empty() {
+        if deliveries.is_empty() && listeners == 0 {
             // Nobody in range: no signal events, no in-flight entry.
             self.delivery_pool.put(deliveries);
             return;
         }
-        // Uniform propagation delay: every receiver shares the arrival and
-        // departure instants, so one event each covers the whole fan-out.
-        let (starts_at, ends_at) = (deliveries[0].1.starts_at, deliveries[0].1.ends_at);
         debug_assert!(deliveries
             .iter()
-            .all(|(_, s)| s.starts_at == starts_at && s.ends_at == ends_at));
+            .all(|(_, s)| s.starts_at == signal.starts_at && s.ends_at == signal.ends_at));
+        // A frame that reaches only listeners still schedules both
+        // events: their kinds and counts belong to the run's record.
         self.sim
-            .schedule_at(starts_at, Event::SignalStart { tx_id });
-        self.sim.schedule_at(ends_at, Event::SignalEnd { tx_id });
+            .schedule_at(signal.starts_at, Event::SignalStart { tx_id });
+        self.sim
+            .schedule_at(signal.ends_at, Event::SignalEnd { tx_id });
         debug_assert!(
             self.in_flight.last().is_none_or(|(last, _)| *last < tx_id),
             "medium tx ids must be monotonic for sorted push-back"
         );
-        self.in_flight.push((tx_id, InFlight { frame, deliveries }));
+        self.in_flight.push((
+            tx_id,
+            InFlight {
+                frame,
+                deliveries,
+                signal,
+                launched: now,
+                tx_power: radio.tx_power,
+                listeners,
+            },
+        ));
     }
 
     /// Index of a live transmission in the sorted `in_flight` table.
@@ -1054,22 +1138,39 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     }
 
     fn on_signal_start(&mut self, tx_id: TxId, now: SimTime) {
-        // Take the delivery list out of its entry for the walk: `sync_cs`
-        // can recurse into `apply_mac_actions` and push new in-flight
-        // entries, so no borrow of the table may be held across receivers
-        // — but nothing in that recursion can touch *this* transmission's
-        // deliveries, so an owned take is safe and replaces the two map
-        // lookups per receiver of the old scheme with none. The buffer
-        // goes back afterwards; `on_signal_end` walks the same one.
+        // Take the delivery list out of its entry for the walk: a
+        // receiver's actions can recurse into `apply_mac_actions` and push
+        // new in-flight entries, so no borrow of the table may be held
+        // across receivers — but nothing in that recursion can touch
+        // *this* transmission's deliveries, so an owned take is safe and
+        // replaces the two map lookups per receiver of the old scheme
+        // with none. The buffer goes back afterwards; `on_signal_end`
+        // walks the same one.
         let i = self.in_flight_idx(tx_id);
+        let entry = &self.in_flight[i].1;
+        let (signal, launched, tx_power, listeners) = (
+            entry.signal,
+            entry.launched,
+            entry.tx_power,
+            entry.listeners,
+        );
+        if listeners > 0 {
+            debug_assert_eq!(now, signal.starts_at);
+            self.make_room_in_log(listeners);
+            self.replay.log_start(signal, launched, tx_power, listeners);
+        }
         let deliveries = std::mem::take(&mut self.in_flight[i].1.deliveries);
         for &(rx, ref sig) in &deliveries {
-            // Scope only the PHY arrival bookkeeping: `sync_cs` may
-            // cascade into MAC actions, which time themselves.
             let idx = self.node_idx(rx);
-            let tick = self.probe.tick();
-            self.nodes[idx].phy.signal_start(sig, now);
-            self.probe.record(SCOPE_ARRIVAL_SCAN, tick);
+            receive(
+                &mut self.nodes[idx],
+                Edge::Start(sig),
+                now,
+                &mut self.sink,
+                &mut self.probe,
+                &mut self.step_actions,
+            );
+            self.apply_step_actions(idx, now);
             self.sync_cs(idx, now);
         }
         let i = self.in_flight_idx(tx_id);
@@ -1080,62 +1181,62 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         let i = self.in_flight_idx(tx_id);
         let deliveries = std::mem::take(&mut self.in_flight[i].1.deliveries);
         for &(rx, _) in &deliveries {
-            self.signal_end_at(rx, tx_id, now);
+            // The receivers' actions only push in-flight entries, at the
+            // back (ids are monotonic), so `i` stays this transmission's.
+            self.signal_end_at(rx, i, now);
         }
-        let i = self.in_flight_idx(tx_id);
-        self.in_flight.remove(i);
+        debug_assert_eq!(self.in_flight[i].0, tx_id);
+        let (_, entry) = self.in_flight.remove(i);
         self.delivery_pool.put(deliveries);
+        if entry.listeners > 0 {
+            debug_assert_eq!(now, entry.signal.ends_at);
+            self.make_room_in_log(entry.listeners);
+            self.replay
+                .log_end(entry.signal, entry.frame, entry.listeners);
+        }
     }
 
-    /// One receiver's share of a transmission's end: resolve the PHY
-    /// outcome, feed the MAC, re-sync carrier sense. Runs in station
-    /// order from [`World::on_signal_end`], exactly like the unbatched
-    /// per-receiver events did.
-    fn signal_end_at(&mut self, rx: NodeId, tx_id: TxId, now: SimTime) {
+    /// Replays the listener log first if an event reaching `listeners`
+    /// listeners would overfill it. Listeners are independent of every
+    /// other station, so replaying mid-dispatch changes nothing.
+    fn make_room_in_log(&mut self, listeners: usize) {
+        if self.replay.is_full_for(listeners) {
+            self.replay_listeners();
+        }
+    }
+
+    /// One receiver's share of a transmission's end, in the loop: the
+    /// receiver step, its actions applied between its two halves. Runs
+    /// in station order from [`World::on_signal_end`], exactly like the
+    /// unbatched per-receiver events did.
+    fn signal_end_at(&mut self, rx: NodeId, in_flight: usize, now: SimTime) {
         let idx = self.node_idx(rx);
-        // `signal_end` is where interference integration and BER
-        // evaluation happen — the per-receiver decode cost.
-        let tick = self.probe.tick();
-        let outcome = self.nodes[idx].phy.signal_end(tx_id, now);
-        self.probe.record(SCOPE_BER_EVAL, tick);
-        // Only the (rare) locked receiver can produce MAC input: skip the
-        // action-buffer round-trip entirely for the other members of the
-        // fan-out.
-        if let Some(out) = outcome {
-            let mut actions = self.mac_action_pool.get();
-            match out.kind {
-                RxOutcomeKind::Decoded => {
-                    let i = self.in_flight_idx(tx_id);
-                    let frame = self.in_flight[i].1.frame.clone();
-                    if S::ENABLED {
-                        self.sink.record(
-                            now,
-                            &TraceRecord::FrameRxOk {
-                                node: rx.0,
-                                src: frame.src.0,
-                                kind: frame_class(frame.kind),
-                                bytes: frame.mpdu_bytes,
-                            },
-                        );
-                    }
-                    self.nodes[idx].mac.on_rx_frame(frame, now, &mut actions);
-                }
-                RxOutcomeKind::BodyError | RxOutcomeKind::HeaderError => {
-                    if S::ENABLED {
-                        let cause = if matches!(out.kind, RxOutcomeKind::BodyError) {
-                            RxErrorCause::Body
-                        } else {
-                            RxErrorCause::Header
-                        };
-                        self.sink
-                            .record(now, &TraceRecord::FrameRxErr { node: rx.0, cause });
-                    }
-                    self.nodes[idx].mac.on_rx_error(now, &mut actions);
-                }
-            }
+        let (tx_id, entry) = &self.in_flight[in_flight];
+        let edge = Edge::End {
+            tx_id: *tx_id,
+            frame: &entry.frame,
+        };
+        receive(
+            &mut self.nodes[idx],
+            edge,
+            now,
+            &mut self.sink,
+            &mut self.probe,
+            &mut self.step_actions,
+        );
+        self.apply_step_actions(idx, now);
+        self.sync_cs(idx, now);
+    }
+
+    /// Applies what a receiver step pushed onto `step_actions`, if
+    /// anything, through a pooled buffer: applying can recurse into
+    /// another step, which then finds `step_actions` empty again.
+    fn apply_step_actions(&mut self, idx: usize, now: SimTime) {
+        if !self.step_actions.is_empty() {
+            let fresh = self.mac_action_pool.get();
+            let actions = std::mem::replace(&mut self.step_actions, fresh);
             self.apply_mac_actions(idx, actions, now);
         }
-        self.sync_cs(idx, now);
     }
 
     fn on_tx_air_end(&mut self, node: NodeId, tx_id: TxId, now: SimTime) {
@@ -1152,19 +1253,11 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         self.sync_cs(idx, now);
     }
 
-    /// Reports carrier-sense edges to the MAC.
+    /// Reports carrier-sense edges to the MAC and applies its actions
+    /// (see [`sense_carrier`]).
     fn sync_cs(&mut self, idx: usize, now: SimTime) {
-        let busy = self.nodes[idx].phy.carrier_busy();
-        if busy != self.nodes[idx].cs_reported {
-            self.nodes[idx].cs_reported = busy;
-            let mut actions = self.mac_action_pool.get();
-            if busy {
-                self.nodes[idx].mac.on_channel_busy(now, &mut actions);
-            } else {
-                self.nodes[idx].mac.on_channel_idle(now, &mut actions);
-            }
-            self.apply_mac_actions(idx, actions, now);
-        }
+        sense_carrier(&mut self.nodes[idx], now, &mut self.step_actions);
+        self.apply_step_actions(idx, now);
     }
 
     // --- reporting -------------------------------------------------------------
@@ -1557,6 +1650,155 @@ mod tests {
             .build()
         });
         assert!(deaf > 3_500, "only {deaf} of 4096 stations deaf");
+    }
+
+    /// Runs `scenario` three ways: as built (listeners replayed after
+    /// dispatch), traced (listeners walked in the loop: a traced world
+    /// never replays), and as the in-loop reference built from
+    /// [`StationRoles::unrestricted`] (every slice built, every receiver
+    /// in the loop). Asserts the three reports are bit for bit the same,
+    /// and that the replayed and traced worlds count the deliveries a
+    /// loop that skips only deaf receivers scatters: each transmitter's
+    /// frames times its audible receivers that are not deaf. Returns how
+    /// many listener edges (signal starts and ends) the replayed world
+    /// replayed, and whether some frame reached only listeners.
+    fn assert_replay_exact(label: &str, scenario: impl Fn() -> Scenario) -> (u64, bool) {
+        let end = |s: &Scenario| SimTime::ZERO + s.duration;
+        let reference = {
+            let scenario = scenario();
+            let roles = StationRoles::unrestricted(scenario.positions.len());
+            World::assemble(scenario, NullSink, NoProbe, roles).run()
+        };
+        let traced = {
+            let scenario = scenario();
+            let until = end(&scenario);
+            let sink = SharedSink::new(JsonlSink::new(Vec::new()));
+            let mut world = World::with_sink(scenario, sink);
+            world.step_until(until);
+            assert_eq!(world.replay.replayed, 0, "{label}: a traced world replayed");
+            world.run()
+        };
+        let scenario = scenario();
+        let until = end(&scenario);
+        let mut world = World::new(scenario);
+        let medium = world.medium();
+        let n = medium.station_count();
+        let transmitters: Vec<usize> = (0..n).filter(|&t| world.transmitters()[t]).collect();
+        let hearing = |t: usize| {
+            let set = medium.audible_set(NodeId(t as u32));
+            let participants = set.iter().filter(|r| world.transmitters()[r.index()]);
+            let listeners = medium.listeners(NodeId(t as u32));
+            (
+                set.iter().filter(|r| !medium.is_deaf(**r)).count() as u64,
+                participants.count(),
+                listeners.len(),
+            )
+        };
+        let hearing: Vec<(u64, usize, usize)> = transmitters.iter().map(|&t| hearing(t)).collect();
+        world.step_until(until);
+        let replayed = world.replay.replayed;
+        let replayed_report = world.run();
+        for (name, other) in [("reference", &reference), ("traced", &traced)] {
+            assert_eq!(
+                fingerprint(&replayed_report),
+                fingerprint(other),
+                "{label}: replayed report diverged from the {name} world"
+            );
+        }
+        let scattered: u64 = transmitters
+            .iter()
+            .zip(&hearing)
+            .map(|(&t, &(non_deaf, _, _))| replayed_report.nodes[t].phy.tx_frames * non_deaf)
+            .sum();
+        assert_eq!(replayed_report.engine.deliveries, scattered, "{label}");
+        assert_eq!(traced.engine.deliveries, scattered, "{label}");
+        assert!(
+            replayed_report.nodes.iter().any(|n| n.mac.delivered > 0),
+            "{label}: no frame delivered"
+        );
+        let listeners_only = transmitters
+            .iter()
+            .zip(&hearing)
+            .any(|(&t, &(_, p, l))| p == 0 && l > 0 && replayed_report.nodes[t].phy.tx_frames > 0);
+        (replayed, listeners_only)
+    }
+
+    #[test]
+    fn listener_replay_is_exact_on_sparse_fields() {
+        for (k, (kind, flows)) in [
+            ("udp", Flows::SingleHop(UDP)),
+            ("tcp", Flows::SingleHop(TCP)),
+            ("chain", Flows::Chain(4)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for (d, day) in [
+                DayProfile::clear(),
+                DayProfile::rainy(),
+                DayProfile::still(),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let label = format!("{kind}/{}", day.name);
+                let seed = 11 + (k * 3 + d) as u64;
+                let (replayed, _) = assert_replay_exact(&label, || {
+                    sparse_field(300, 1_500.0, flows, 3, 350.0, day.clone(), seed)
+                        .random_disk(40, 1_500.0, seed)
+                        .build()
+                });
+                assert!(replayed > 0, "{label}: nothing replayed");
+            }
+        }
+    }
+
+    /// A frame can reach only listeners: a sender whose receiver stands
+    /// far out of range, among bystanders, keeps transmitting (and
+    /// retrying) with no participant in earshot.
+    #[test]
+    fn listener_replay_is_exact_for_frames_only_listeners_hear() {
+        for seed in [1, 2] {
+            let label = format!("lonely sender, seed {seed}");
+            let (replayed, listeners_only) = assert_replay_exact(&label, || {
+                ScenarioBuilder::new(PhyRate::R2)
+                    .line(&[0.0, 30_000.0, 60_000.0, 60_060.0])
+                    .flow(0, 1, UDP)
+                    .flow(2, 3, UDP)
+                    .random_disk(150, 600.0, seed)
+                    .seed(seed)
+                    .duration(SimDuration::from_millis(400))
+                    .warmup(SimDuration::from_millis(100))
+                    .build()
+            });
+            assert!(replayed > 0, "{label}: nothing replayed");
+            assert!(listeners_only, "{label}: no frame reached only listeners");
+        }
+    }
+
+    /// The production-scale replay check on the 4096-station field of
+    /// `elision_is_exact_on_a_4096_station_field`. Release-only: run it
+    /// with `cargo test --release -p dot11-adhoc -- --ignored`.
+    #[test]
+    #[ignore = "4096-station field; run in release with --ignored"]
+    fn listener_replay_is_exact_on_a_4096_station_field() {
+        let (replayed, _) = assert_replay_exact("field4096", || {
+            sparse_field(
+                4096,
+                12_000.0,
+                Flows::SingleHop(UDP),
+                16,
+                700.0,
+                DayProfile::clear(),
+                3,
+            )
+            .duration(SimDuration::from_secs(2))
+            .build()
+        });
+        assert!(
+            replayed > 1_000_000,
+            "only {replayed} listener edges replayed"
+        );
     }
 
     /// The static disk4096 sweep-registry scenario (4,096 stations on a

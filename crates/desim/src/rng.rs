@@ -71,6 +71,7 @@ impl SimRng {
     }
 
     /// xoshiro256++ step: the raw 64-bit output.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -105,17 +106,20 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)`.
+    #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         // 53 high bits → the standard dyadic uniform on [0, 1).
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform float in `(0, 1]` — safe to pass to `ln`.
+    #[inline]
     fn gen_f64_open_zero(&mut self) -> f64 {
         ((self.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         // gen_f64 < 1.0 always holds, so p = 1.0 is certainly true and
@@ -125,6 +129,7 @@ impl SimRng {
 
     /// Standard-normal draw (Box–Muller; one value per call, the pair's
     /// twin is discarded to keep the stream position independent of use).
+    #[inline]
     pub fn gen_std_normal(&mut self) -> f64 {
         // Rejection-free polar-form Box–Muller would consume a variable
         // number of uniforms; the trigonometric form consumes exactly two,
@@ -135,6 +140,7 @@ impl SimRng {
     }
 
     /// Normal draw with the given mean and standard deviation.
+    #[inline]
     pub fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.gen_std_normal()
     }

@@ -6,7 +6,10 @@
 //! **once** (path loss + that instant's shadowing) into a recycled
 //! buffer; the driver then schedules one signal-start and one signal-end
 //! event for the whole frame, since the propagation delay is the same at
-//! every receiver.
+//! every receiver. On a fixed field with silent stations,
+//! `transmit_into` covers only the frame's participants; the driver
+//! samples its listeners later with [`Medium::sample_listeners`], at the
+//! same launch instant.
 
 use desim::{SimDuration, SimTime};
 
@@ -164,15 +167,20 @@ pub struct Medium {
     lanes: Vec<Lane>,
     /// How many `lanes` are [`Lane::Deaf`].
     deaf_count: usize,
+    /// Per station, the CSR slots where its slice's listener and deaf
+    /// groups start (see [`Medium::new`]); empty when no station is
+    /// silent on a fixed field, where every receiver is a participant.
+    group_starts: Vec<(u32, u32)>,
     next_tx: u64,
 }
 
 /// What a [`Medium`] stores and scatters for one station.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lane {
-    /// Its audible slice is stored; frames reach it.
+    /// Its audible slice is stored; frames reach it as a participant.
     Built,
-    /// No slice stored (silent on a fixed field); frames reach it.
+    /// No slice stored (silent on a fixed field); frames reach it as a
+    /// listener, through [`Medium::sample_listeners`].
     Listening,
     /// No slice stored, and frames skip it (see [`StationRoles`]).
     Deaf,
@@ -442,9 +450,15 @@ struct BucketGrid {
 }
 
 impl BucketGrid {
+    /// Counts each cell's stations first, so every occupied bucket is
+    /// allocated once at its final size (an empty one not at all).
     fn new(positions: &[Position], radius: f64) -> BucketGrid {
         let geo = grid_geometry(positions, radius);
-        let mut buckets = vec![Vec::new(); geo.nx * geo.ny];
+        let mut counts = vec![0usize; geo.nx * geo.ny];
+        for p in positions {
+            counts[geo.cell_of(p)] += 1;
+        }
+        let mut buckets: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
         for (i, p) in positions.iter().enumerate() {
             buckets[geo.cell_of(p)].push(i as u32);
         }
@@ -598,7 +612,13 @@ impl Medium {
     /// state and draw derived from it, is bit for bit what the all-slices
     /// build holds: shadowing streams are keyed by link, not by CSR slot.
     /// A silent station gets an empty CSR range; [`Medium::audible_count`]
-    /// stays exact for it through a count-only scan.
+    /// stays exact for it through a count-only scan. Each built slice is
+    /// then stable-partitioned by receiver: **participants** (the
+    /// transmitters) first, then **listeners** (silent, not deaf), then
+    /// deaf receivers, each group in station order.
+    /// [`Medium::transmit_into`] scatters the participants only,
+    /// [`Medium::sample_listeners`] the listeners, and nothing samples a
+    /// deaf receiver's link.
     ///
     /// # Panics
     ///
@@ -665,6 +685,7 @@ impl Medium {
             grid,
             lanes,
             deaf_count: 0,
+            group_starts: Vec::new(),
             next_tx: 0,
         };
         if let Some((tx_power, cs_threshold)) = silent_fixed {
@@ -673,8 +694,54 @@ impl Medium {
                 medium.lanes[i] = Lane::Deaf;
                 medium.deaf_count += 1;
             }
+            medium.partition_slices();
         }
         medium
+    }
+
+    /// Stable-partitions every built slice by receiver lane, participants
+    /// ([`Lane::Built`]) first, then listeners, then deaf receivers, and
+    /// records where each slice's listener and deaf groups start: a
+    /// counting pass, then a placing pass over each slice that has a
+    /// listener or deaf receiver. Runs before any link is sampled, so
+    /// each slot carries only its receiver and `(distance, UNFILLED)`
+    /// cell; shadowing state is keyed by link, so no draw depends on a
+    /// slot's position.
+    fn partition_slices(&mut self) {
+        let group = |lane: Lane| match lane {
+            Lane::Built => 0,
+            Lane::Listening => 1,
+            Lane::Deaf => 2,
+        };
+        let n = self.positions.len();
+        let mut group_starts = Vec::with_capacity(n);
+        let mut scratch: Vec<(NodeId, (Meters, Db))> = Vec::new();
+        for tx in 0..n {
+            let (start, end) = self.slice_bounds(tx);
+            let mut sizes = [0; 3];
+            for &rx in &self.audible[start..end] {
+                sizes[group(self.lanes[rx.index()])] += 1;
+            }
+            let mut next = [start, start + sizes[0], start + sizes[0] + sizes[1]];
+            group_starts.push((next[1] as u32, next[2] as u32));
+            if sizes[0] == end - start {
+                continue;
+            }
+            scratch.clear();
+            scratch.extend(
+                self.audible[start..end]
+                    .iter()
+                    .copied()
+                    .zip(self.slot_links[start..end].iter().copied()),
+            );
+            for &(rx, cell) in &scratch {
+                let g = group(self.lanes[rx.index()]);
+                self.audible[next[g]] = rx;
+                self.slot_links[next[g]] = cell;
+                next[g] += 1;
+            }
+        }
+        self.group_starts = group_starts;
     }
 
     /// Whether station `tx`'s audible slice is stored.
@@ -692,16 +759,30 @@ impl Medium {
         (start, start + self.audible_lens[tx] as usize)
     }
 
+    /// The slot ranges of transmitter `tx`'s participant, listener and
+    /// deaf groups (see [`Medium::new`]). Without partitioned slices the
+    /// whole slice is participants.
+    #[inline]
+    fn groups(&self, tx: usize) -> [(usize, usize); 3] {
+        let (start, end) = self.slice_bounds(tx);
+        let (listen, deaf) = match self.group_starts.get(tx) {
+            Some(&(l, d)) => (l as usize, d as usize),
+            None => (end, end),
+        };
+        [(start, listen), (listen, deaf), (deaf, end)]
+    }
+
     /// The CSR slot of the directed link `tx → rx`, if the link survived
-    /// culling. Each audible slice is in station order, so this is a
-    /// binary search over `tx`'s slice.
+    /// culling. Each group of an audible slice is in station order, so
+    /// this is a binary search per group.
     #[inline]
     fn slot_of(&self, tx: NodeId, rx: NodeId) -> Option<usize> {
-        let (start, end) = self.slice_bounds(tx.index());
-        self.audible[start..end]
-            .binary_search_by(|r| r.0.cmp(&rx.0))
-            .ok()
-            .map(|i| start + i)
+        self.groups(tx.index()).into_iter().find_map(|(a, b)| {
+            self.audible[a..b]
+                .binary_search_by(|r| r.0.cmp(&rx.0))
+                .ok()
+                .map(|i| a + i)
+        })
     }
 
     /// The (distance, path loss) of the CSR slot `slot`, filling the
@@ -760,8 +841,9 @@ impl Medium {
         self.config.propagation_delay
     }
 
-    /// The audible set of `tx`: the receivers `transmit_into` will
-    /// scatter to (minus deaf ones), in station order.
+    /// The audible set of `tx`, in station order, or on a partitioned
+    /// medium (see [`Medium::new`]) participants, listeners and deaf
+    /// receivers, each in station order.
     ///
     /// # Panics
     ///
@@ -846,6 +928,15 @@ impl Medium {
         self.deaf_count
     }
 
+    /// The listeners in `tx`'s audible slice, in station order: silent
+    /// stations that are not deaf, which [`Medium::transmit_into`] leaves
+    /// to [`Medium::sample_listeners`]. Empty for an unbuilt slice, and
+    /// on any medium not built for a fixed field with silent stations.
+    pub fn listeners(&self, tx: NodeId) -> &[NodeId] {
+        let (a, b) = self.groups(tx.index())[1];
+        &self.audible[a..b]
+    }
+
     /// Classifies every station as **deaf** or listening, given the
     /// complete set of stations that may ever transmit (`transmitters`,
     /// one flag per station): a deaf station never transmits, and no
@@ -907,41 +998,13 @@ impl Medium {
             .collect()
     }
 
-    /// Samples the received power on the directed link `tx → rx` at `now`
-    /// given the transmitter's TX power: (cached) path loss plus the
-    /// current shadowing state of that link.
-    ///
-    /// A link's shadowing state is sequential, so a slotted (CSR) pair
-    /// must always advance its slot state here — the same one
-    /// [`Medium::transmit_into`] advances — never a parallel HashMap
-    /// entry; splitting a link across the two stores would fork its
-    /// random trajectory. A pair without a slot (culled, or sent from a
-    /// station whose slice is not built) samples the HashMap store,
-    /// which realizes the same per-link stream bit for bit.
-    ///
-    /// Test-only: the event loop samples CSR slots through
-    /// [`Medium::transmit_into`].
-    #[cfg(test)]
-    pub fn rx_power(&mut self, tx: NodeId, rx: NodeId, tx_power: Dbm, now: SimTime) -> Dbm {
-        match self.slot_of(tx, rx) {
-            Some(slot) => {
-                let (d, pl) = self.slot_link(slot);
-                let excess = self.shadowing.sample_slot(slot, tx, rx, d, now);
-                tx_power - pl - excess
-            }
-            None => {
-                let (d, pl) = self.link(tx, rx);
-                let excess = self.shadowing.sample(tx, rx, d, now);
-                tx_power - pl - excess
-            }
-        }
-    }
-
     /// Launches a transmission at `now` from `source`, appending the
-    /// signal as it will appear at every station in `source`'s audible
-    /// set (in station order, minus deaf receivers — see
-    /// [`Medium::is_deaf`]) to `deliveries`, powers sampled at launch
-    /// (block-fading per frame).
+    /// signal as it will appear at every participant in `source`'s
+    /// audible set (in station order; see [`Medium::new`]) to
+    /// `deliveries`, powers sampled at launch (block-fading per frame).
+    /// On a medium without listeners or deaf receivers that is the whole
+    /// audible set; otherwise [`Medium::sample_listeners`] covers the
+    /// listeners, and deaf receivers are skipped.
     ///
     /// `deliveries` must arrive **empty** (debug-asserted): clearing is
     /// hoisted to the caller, which recycles its buffers — a recycled
@@ -982,23 +1045,20 @@ impl Medium {
         let airtime = FrameAirtime::new(mpdu_bytes, rate, preamble);
         let starts_at = now + self.config.propagation_delay;
         let ends_at = starts_at + airtime.total();
-        let (start, end) = self.slice_bounds(source.index());
+        let [(start, head_end), _, (_, end)] = self.groups(source.index());
         // Only an empty slice can be an unbuilt one, so a built medium
         // pays one compare of bounds it already holds.
         if start == end && !self.is_built(source.index()) {
             unbuilt_slice(source, "transmit_into");
         }
-        // One pass over the contiguous audible slice: gain read, shadowing
-        // advance, and power subtraction per receiver, with the slot index
-        // doubling as the shadowing-state index (no per-receiver search or
-        // hashing). The arithmetic and draw order match `rx_power` on the
-        // slotted path exactly. A deaf receiver's link stream has no
-        // other reader, so leaving it unsampled changes no other link.
-        for slot in start..end {
+        // One pass over the contiguous participant group: gain read,
+        // shadowing advance, and power subtraction per receiver, with the
+        // slot index doubling as the shadowing-state index (no
+        // per-receiver search or hashing). A deaf receiver's link stream
+        // has no other reader, so leaving it unsampled changes no other
+        // link.
+        for slot in start..head_end {
             let rx = self.audible[slot];
-            if self.lanes[rx.index()] == Lane::Deaf {
-                continue;
-            }
             let (d, pl) = self.slot_link(slot);
             let excess = self.shadowing.sample_slot(slot, source, rx, d, now);
             deliveries.push((
@@ -1016,6 +1076,30 @@ impl Medium {
             ));
         }
         (tx_id, airtime)
+    }
+
+    /// Samples the power at each of `source`'s [listeners](Medium::listeners),
+    /// in slice order, for the frame it launched at `now` with
+    /// `tx_power`: the values [`Medium::transmit_into`] would have
+    /// sampled for them at launch. Each link's shadowing stream is its
+    /// own, so sampling a frame's listeners after later frames of other
+    /// links changes no draw; only the order of one link's samples
+    /// matters, and callers keep it by sampling each source's frames in
+    /// launch order.
+    pub fn sample_listeners(
+        &mut self,
+        source: NodeId,
+        tx_power: Dbm,
+        now: SimTime,
+        mut visit: impl FnMut(NodeId, Dbm),
+    ) {
+        let (from, to) = self.groups(source.index())[1];
+        for slot in from..to {
+            let rx = self.audible[slot];
+            let (d, pl) = self.slot_link(slot);
+            let excess = self.shadowing.sample_slot(slot, source, rx, d, now);
+            visit(rx, tx_power - pl - excess);
+        }
     }
 
     /// All station positions, indexed by station id. Movement models
@@ -1066,7 +1150,6 @@ impl Medium {
         if plan.movers.is_empty() {
             return churn;
         }
-        self.shadowing.retain_unmoved_links(&plan.moved);
         for &(id, ref old) in &plan.movers {
             self.grid.move_id(id, old, &self.positions[id as usize]);
         }
@@ -1311,9 +1394,10 @@ impl Medium {
         self.live_links = live;
     }
 
-    /// Allocating form of [`Medium::transmit_into`] for tests; the event
-    /// loop uses the scratch-buffer form. Delegates through the same
-    /// audible-list path so the two forms cannot drift.
+    /// Allocating form of [`Medium::transmit_into`] for tests, extended
+    /// to every receiver that is not deaf: the participants, then the
+    /// listeners sampled at the same `now`, merged into station order —
+    /// what a driver that keeps listeners in its event loop scatters.
     #[cfg(test)]
     pub fn transmit(
         &mut self,
@@ -1334,6 +1418,21 @@ impl Medium {
             now,
             &mut deliveries,
         );
+        let starts_at = now + self.config.propagation_delay;
+        let signal = TxSignal {
+            tx_id,
+            source,
+            rx_power: Dbm(f64::NAN),
+            rate,
+            mpdu_bytes,
+            preamble,
+            starts_at,
+            ends_at: starts_at + airtime.total(),
+        };
+        self.sample_listeners(source, tx_power, now, |rx, rx_power| {
+            deliveries.push((rx, TxSignal { rx_power, ..signal }));
+        });
+        deliveries.sort_unstable_by_key(|&(rx, _)| rx);
         (tx_id, airtime, deliveries)
     }
 }
@@ -1352,6 +1451,41 @@ mod tests {
         };
         let roles = StationRoles::unrestricted(positions.len());
         medium_for(positions, day, &roles)
+    }
+
+    /// The power `tx` puts on its audible link to `rx` at `now` with
+    /// `tx_power`: the slot's path loss and that link's shadowing sample,
+    /// the arithmetic [`Medium::transmit_into`] does per receiver.
+    fn rx_power(m: &mut Medium, tx: NodeId, rx: NodeId, tx_power: Dbm, now: SimTime) -> Dbm {
+        let slot = m.slot_of(tx, rx).expect("an audible link");
+        let (d, pl) = m.slot_link(slot);
+        let excess = m.shadowing.sample_slot(slot, tx, rx, d, now);
+        tx_power - pl - excess
+    }
+
+    /// `tx`'s audible set in station order.
+    fn station_order(m: &Medium, tx: NodeId) -> Vec<NodeId> {
+        let mut set = m.audible_set(tx).to_vec();
+        set.sort_unstable();
+        set
+    }
+
+    /// Asserts that `tx`'s built slice holds its participants, listeners
+    /// and deaf receivers in that order, each group in station order, and
+    /// that [`Medium::listeners`] is the listener group.
+    fn assert_grouped(m: &Medium, tx: NodeId, tag: &str) {
+        let set = m.audible_set(tx);
+        let key = |rx: NodeId| (m.lanes[rx.index()] as u8, rx);
+        assert!(
+            set.windows(2).all(|w| key(w[0]) < key(w[1])),
+            "{tag} slice of {tx:?} out of group order: {set:?}"
+        );
+        let listeners: Vec<NodeId> = set
+            .iter()
+            .copied()
+            .filter(|rx| m.lanes[rx.index()] == Lane::Listening)
+            .collect();
+        assert_eq!(m.listeners(tx), &listeners[..], "{tag} listeners of {tx:?}");
     }
 
     /// A Full-fanout medium over `positions` on `day`, built from `roles`.
@@ -1388,8 +1522,8 @@ mod tests {
             true,
         );
         let now = SimTime::ZERO;
-        let near = m.rx_power(NodeId(0), NodeId(1), Dbm(15.0), now);
-        let far = m.rx_power(NodeId(0), NodeId(2), Dbm(15.0), now);
+        let near = rx_power(&mut m, NodeId(0), NodeId(1), Dbm(15.0), now);
+        let far = rx_power(&mut m, NodeId(0), NodeId(2), Dbm(15.0), now);
         assert!(near.0 > far.0 + 25.0, "near {near} vs far {far}");
     }
 
@@ -1757,7 +1891,6 @@ mod tests {
             .map(|t| m.audible_set(NodeId(t as u32)).to_vec())
             .collect();
         let plan = m.apply_moves(moves);
-        m.shadowing.retain_unmoved_links(&plan.moved);
         oracle_relayout(m, &plan.moved);
         let moved = &plan.moved;
         let touched = |t: usize, set: &[NodeId]| {
@@ -1799,6 +1932,10 @@ mod tests {
     /// positions, and every link's shadowing init state; and that every
     /// station's [`Medium::audible_count`], the largest count and the
     /// culled-link count equal the keep predicate counted on every pair.
+    /// The oracle lays slices unpartitioned and scatters to every
+    /// receiver, so a link to a receiver `m` skips as deaf must hold the
+    /// oracle's distance with no path loss and no shadowing state: `m`
+    /// never samples it.
     fn assert_matches_oracle(m: &Medium, o: &Medium, tag: &str) {
         let bits = |(d, pl): (Meters, Db)| (d.0.to_bits(), pl.0.to_bits());
         let n = m.station_count();
@@ -1807,6 +1944,7 @@ mod tests {
         assert_eq!(m.lanes, o.lanes, "{tag} lanes");
         let mut kept = 0;
         let mut max_kept = 0;
+        let mut sampled = 0;
         for t in 0..n {
             let tx = NodeId(t as u32);
             assert_eq!(m.position(tx), o.position(tx), "{tag} position of {tx:?}");
@@ -1823,12 +1961,23 @@ mod tests {
                 assert_eq!(start, end, "{tag} unbuilt {tx:?} holds slots");
                 continue;
             }
-            assert_eq!(m.audible_set(tx), o.audible_set(tx), "{tag} set of {tx:?}");
+            assert_grouped(m, tx, tag);
+            assert_eq!(
+                station_order(m, tx),
+                o.audible_set(tx),
+                "{tag} set of {tx:?}"
+            );
             for &rx in m.audible_set(tx) {
                 let (sm, so) = (m.slot_of(tx, rx).unwrap(), o.slot_of(tx, rx).unwrap());
+                let (cell, init) = if m.is_deaf(rx) {
+                    ((o.slot_links[so].0, Db(UNFILLED)), false)
+                } else {
+                    (o.slot_links[so], o.shadowing.slot_is_init(so))
+                };
+                sampled += usize::from(init);
                 assert_eq!(
                     bits(m.slot_links[sm]),
-                    bits(o.slot_links[so]),
+                    bits(cell),
                     "{tag} cell {tx:?}->{rx:?}"
                 );
                 let d = m.position(tx).distance_to(m.position(rx));
@@ -1839,16 +1988,12 @@ mod tests {
                 );
                 assert_eq!(
                     m.shadowing.slot_is_init(sm),
-                    o.shadowing.slot_is_init(so),
+                    init,
                     "{tag} shadowing {tx:?}->{rx:?}"
                 );
             }
         }
-        assert_eq!(
-            m.shadowing.initialised_slots(),
-            o.shadowing.initialised_slots(),
-            "{tag}"
-        );
+        assert_eq!(m.shadowing.initialised_slots(), sampled, "{tag}");
         assert_eq!(
             m.culled_link_count(),
             n * n.saturating_sub(1) - kept,
@@ -2276,15 +2421,17 @@ mod tests {
             if !sub.is_built(t) {
                 continue;
             }
+            assert_grouped(sub, tx, tag);
             assert_eq!(
-                sub.audible_set(tx),
+                station_order(sub, tx),
                 full.audible_set(tx),
                 "{tag} set of {tx:?}"
             );
             built_links += sub.audible_count(tx);
-            let ((s0, s1), (f0, _)) = (sub.slice_bounds(t), full.slice_bounds(t));
-            for (ss, fs) in (s0..s1).zip(f0..) {
+            let (s0, s1) = sub.slice_bounds(t);
+            for ss in s0..s1 {
                 let rx = sub.audible[ss];
+                let fs = full.slot_of(tx, rx).expect("the same audible set");
                 let (cell, init) = if sub.is_deaf(rx) {
                     ((full.slot_links[fs].0, Db(UNFILLED)), false)
                 } else {
@@ -2675,16 +2822,98 @@ mod tests {
         }
     }
 
+    /// Listeners sampled after dispatch see bitwise the powers an
+    /// in-order scatter gives them: `late` scatters each frame's
+    /// participants at launch and samples every frame's listeners only
+    /// after the last launch, in launch order, while `now` samples both
+    /// at launch. Frames alternate between senders, so other links'
+    /// samples (and the AR(1) memo) interleave between a link's own.
+    #[test]
+    fn listeners_sampled_after_dispatch_match_an_in_order_scatter() {
+        let xs = [0.0, 40.0, 70.0, 3_000.0, 110.0, 6_000.0, 150.0, 190.0];
+        let mask = [true, false, true, false, false, false, true, false];
+        let mut now_medium = fixed_medium(&xs, &mask);
+        let mut late = fixed_medium(&xs, &mask);
+        assert!(late.is_deaf(NodeId(5)) && !late.is_deaf(NodeId(1)));
+        assert_eq!(
+            late.listeners(NodeId(0)),
+            &[NodeId(1), NodeId(4), NodeId(7)]
+        );
+        let senders = [0u32, 2, 6];
+        let mut launched = Vec::new();
+        let mut expected = Vec::new();
+        for frame in 0..15u64 {
+            let now = SimTime::from_micros(frame * 650 + frame * frame * 37);
+            let src = NodeId(senders[frame as usize % 3]);
+            let (_, _, all) =
+                now_medium.transmit(src, Dbm(15.0), PhyRate::R2, 100, Preamble::Long, now);
+            let mut head = Vec::new();
+            late.transmit_into(
+                src,
+                Dbm(15.0),
+                PhyRate::R2,
+                100,
+                Preamble::Long,
+                now,
+                &mut head,
+            );
+            for (rx, sig) in &all {
+                if mask[rx.index()] {
+                    let (_, h) = head.iter().find(|(r, _)| r == rx).expect("a participant");
+                    assert_eq!(h.rx_power.0.to_bits(), sig.rx_power.0.to_bits());
+                } else {
+                    expected.push((*rx, sig.rx_power));
+                }
+            }
+            assert_eq!(head.len() + late.listeners(src).len(), all.len());
+            launched.push((src, now));
+        }
+        let mut sampled = Vec::new();
+        for (src, now) in launched {
+            late.sample_listeners(src, Dbm(15.0), now, |rx, p| sampled.push((rx, p)));
+        }
+        assert_eq!(sampled.len(), expected.len());
+        assert!(!sampled.is_empty());
+        for ((rx_a, a), (rx_b, b)) in sampled.iter().zip(&expected) {
+            assert_eq!(rx_a, rx_b);
+            assert_eq!(a.0.to_bits(), b.0.to_bits());
+        }
+    }
+
     #[test]
     fn shadowed_link_varies_but_still_link_does_not() {
         let mut still = medium(vec![Position::on_line(0.0), Position::on_line(50.0)], true);
-        let a = still.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(1));
-        let b = still.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(30));
+        let a = rx_power(
+            &mut still,
+            NodeId(0),
+            NodeId(1),
+            Dbm(15.0),
+            SimTime::from_secs(1),
+        );
+        let b = rx_power(
+            &mut still,
+            NodeId(0),
+            NodeId(1),
+            Dbm(15.0),
+            SimTime::from_secs(30),
+        );
         assert_eq!(a.0, b.0);
 
         let mut varying = medium(vec![Position::on_line(0.0), Position::on_line(50.0)], false);
-        let a = varying.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(1));
-        let b = varying.rx_power(NodeId(0), NodeId(1), Dbm(15.0), SimTime::from_secs(30));
+        let a = rx_power(
+            &mut varying,
+            NodeId(0),
+            NodeId(1),
+            Dbm(15.0),
+            SimTime::from_secs(1),
+        );
+        let b = rx_power(
+            &mut varying,
+            NodeId(0),
+            NodeId(1),
+            Dbm(15.0),
+            SimTime::from_secs(30),
+        );
         assert_ne!(a.0, b.0, "time-varying channel should move over 29 s");
     }
 }

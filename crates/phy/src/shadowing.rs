@@ -20,7 +20,6 @@
 //! days. Keying the state on the *directed* pair (a→b) yields the
 //! asymmetric channels the paper observed.
 
-use std::collections::HashMap;
 use std::mem::MaybeUninit;
 
 use desim::{SimDuration, SimRng, SimTime};
@@ -28,7 +27,7 @@ use desim::{SimDuration, SimRng, SimTime};
 use crate::units::{Db, Meters, NodeId};
 
 /// Hard bound on the total random deviation (slow + fast, dB) a single
-/// [`Shadowing::sample`] may return around the profile's `extra_loss`.
+/// [`Shadowing::sample_slot`] may return around the profile's `extra_loss`.
 ///
 /// The deviation is clamped at *read time*; the underlying AR(1)/slow
 /// state evolves unclamped, so trajectories are unchanged and only the
@@ -115,7 +114,7 @@ impl DayProfile {
         }
     }
 
-    /// Lower bound (dB) on the excess loss any [`Shadowing::sample`] call
+    /// Lower bound (dB) on the excess loss any [`Shadowing::sample_slot`] call
     /// under this profile can ever return, i.e. the *best case* for a
     /// receiver. With both sigmas zero the sample short-circuits to
     /// exactly `extra_loss`; otherwise the read-time clamp guarantees the
@@ -278,7 +277,7 @@ fn advance_and_read(
     rng: &mut SimRng,
     extra_loss: f64,
     fast: f64,
-    tau: f64,
+    coherence: SimDuration,
     now: SimTime,
     memo: &mut Option<(u64, f64, f64)>,
 ) -> Db {
@@ -287,6 +286,7 @@ fn advance_and_read(
         let (rho, root) = match *memo {
             Some((bits, rho, root)) if bits == dt.to_bits() => (rho, root),
             _ => {
+                let tau = coherence.as_secs_f64().max(1e-9);
                 let rho = (-dt / tau).exp();
                 let root = (1.0 - rho * rho).sqrt();
                 *memo = Some((dt.to_bits(), rho, root));
@@ -303,19 +303,14 @@ fn advance_and_read(
 
 /// The per-link shadowing process for one simulation run.
 ///
-/// Link state lives in one of two stores, and each directed link uses
-/// exactly one of them for its whole lifetime (the AR(1) state is
-/// sequential, so splitting a link across stores would fork its stream):
-///
-/// * a dense `slots` lane indexed by the owning [`crate::Medium`]'s CSR
-///   audible slot — the hot scatter path, no hashing;
-/// * a `HashMap` fallback for arbitrary pairs outside the audible sets
-///   (probes, tests, culled links queried directly).
+/// Link state lives in a dense `slots` store indexed by the owning
+/// [`crate::Medium`]'s CSR audible slot — the scatter path, no hashing.
+/// A link's state is a pure function of `(master, tx, rx)` and its own
+/// sample times, never of the slot that holds it.
 #[derive(Debug)]
 pub struct Shadowing {
     profile: DayProfile,
     master: SimRng,
-    links: HashMap<(NodeId, NodeId), (LinkState, SimRng)>,
     slots: SlotStore,
     /// AR(1) coefficient memo `(dt_bits, ρ, √(1-ρ²))`: every audible
     /// link of one transmitter advances with the same `dt`, so one
@@ -331,7 +326,6 @@ impl Shadowing {
         Shadowing {
             profile,
             master,
-            links: HashMap::new(),
             slots: SlotStore::with_len(0),
             ar1_memo: None,
         }
@@ -365,43 +359,18 @@ impl Shadowing {
     }
 
     /// Samples the total excess loss (weather offset + shadowing) on the
-    /// directed link `tx → rx` of length `distance` at time `now`.
+    /// directed link `tx → rx` of length `distance` at time `now`, whose
+    /// state lives in the dense slot `slot` (the link's index in the
+    /// owning `Medium`'s CSR audible arrays) — no hashing on the scatter
+    /// hot path.
     ///
     /// Consecutive samples on the same link are correlated with
     /// coherence time `τ`; samples on different links (including the
     /// reverse direction) are independent. Variance ramps with distance
-    /// (see [`DayProfile::sigma_full_distance`]).
-    ///
-    /// This is the HashMap-backed path for pairs without a CSR slot; a
-    /// slotted link must go through [`Shadowing::sample_slot`] instead.
-    /// Production no longer reaches it: the event loop samples only CSR
-    /// slots, so only tests read this store.
-    pub fn sample(&mut self, tx: NodeId, rx: NodeId, distance: Meters, now: SimTime) -> Db {
-        let (slow, fast) = self.sigmas(distance);
-        if slow == 0.0 && fast == 0.0 {
-            return self.profile.extra_loss;
-        }
-        let tau = self.profile.coherence.as_secs_f64().max(1e-9);
-        let (state, rng) = self
-            .links
-            .entry((tx, rx))
-            .or_insert_with(|| init_link_state(&self.master, tx, rx, slow, fast, now));
-        advance_and_read(
-            state,
-            rng,
-            self.profile.extra_loss.0,
-            fast,
-            tau,
-            now,
-            &mut self.ar1_memo,
-        )
-    }
-
-    /// Same process as [`Shadowing::sample`], but the link state lives in
-    /// the dense slot `slot` (the link's index in the owning `Medium`'s
-    /// CSR audible arrays) — no hashing on the scatter hot path. The
-    /// AR(1) memo persists across calls on the owned process (one
-    /// `exp`+`sqrt` serves a whole scatter slice).
+    /// (see [`DayProfile::sigma_full_distance`]). The AR(1) memo persists
+    /// across calls on the owned process (one `exp`+`sqrt` serves a whole
+    /// scatter slice).
+    #[inline]
     pub fn sample_slot(
         &mut self,
         slot: usize,
@@ -414,7 +383,6 @@ impl Shadowing {
         if slow == 0.0 && fast == 0.0 {
             return self.profile.extra_loss;
         }
-        let tau = self.profile.coherence.as_secs_f64().max(1e-9);
         let master = &self.master;
         let (state, rng) = self
             .slots
@@ -424,7 +392,7 @@ impl Shadowing {
             rng,
             self.profile.extra_loss.0,
             fast,
-            tau,
+            self.profile.coherence,
             now,
             &mut self.ar1_memo,
         )
@@ -480,24 +448,43 @@ impl Shadowing {
             self.slots.put(to as usize, old.take(from as usize));
         }
     }
-
-    /// Drops every HashMap-backed link whose endpoint is flagged in
-    /// `moved` (indexed by station id; out-of-range ids — probe pairs
-    /// tests invent — count as unmoved).
-    pub(crate) fn retain_unmoved_links(&mut self, moved: &[bool]) {
-        self.links.retain(|&(a, b), _| {
-            !moved.get(a.index()).copied().unwrap_or(false)
-                && !moved.get(b.index()).copied().unwrap_or(false)
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
-    fn process(profile: DayProfile, seed: u64) -> Shadowing {
+    fn raw(profile: DayProfile, seed: u64) -> Shadowing {
         Shadowing::new(profile, SimRng::from_seed(seed))
+    }
+
+    /// Room for every link one test samples.
+    const LINKS: usize = 8192;
+
+    /// A process sampled by link: each directed pair takes the next free
+    /// slot on its first sample and keeps it.
+    struct ByLink {
+        process: Shadowing,
+        slots: HashMap<(NodeId, NodeId), usize>,
+    }
+
+    impl ByLink {
+        fn sample(&mut self, tx: NodeId, rx: NodeId, distance: Meters, now: SimTime) -> Db {
+            let next = self.slots.len();
+            let slot = *self.slots.entry((tx, rx)).or_insert(next);
+            self.process.sample_slot(slot, tx, rx, distance, now)
+        }
+    }
+
+    fn process(profile: DayProfile, seed: u64) -> ByLink {
+        let mut process = raw(profile, seed);
+        process.reserve_slots(LINKS);
+        ByLink {
+            process,
+            slots: HashMap::new(),
+        }
     }
 
     #[test]
@@ -527,30 +514,26 @@ mod tests {
         }
     }
 
+    /// A link's stream depends on its endpoints, never on the slot that
+    /// holds it: the same two links held in different slots (and
+    /// sampled in a different order at each instant) give bitwise the
+    /// same samples. Irregular lags exercise the dt-keyed coefficient
+    /// memo across links.
     #[test]
-    fn slot_and_hashmap_paths_are_bitwise_identical() {
-        // The dense slot store and the HashMap fallback must realize the
-        // same per-link process: same substream label, same draw order,
-        // same AR(1) advance. Interleave two links with irregular lags so
-        // the dt-keyed coefficient memo is exercised across links.
-        let mut a = process(DayProfile::clear(), 42);
-        let mut b = process(DayProfile::clear(), 42);
+    fn link_state_is_independent_of_its_slot() {
+        let mut a = raw(DayProfile::clear(), 42);
+        let mut b = raw(DayProfile::clear(), 42);
+        a.reserve_slots(4);
         b.reserve_slots(4);
         for k in 0..50u64 {
             let t = SimTime::from_millis(k * k % 97 + k * 7);
-            assert_eq!(
-                a.sample(NodeId(3), NodeId(9), Meters(100.0), t).0.to_bits(),
-                b.sample_slot(2, NodeId(3), NodeId(9), Meters(100.0), t)
-                    .0
-                    .to_bits()
-            );
             let t2 = SimTime::from_millis(k * 13 + 5);
-            assert_eq!(
-                a.sample(NodeId(9), NodeId(3), Meters(60.0), t2).0.to_bits(),
-                b.sample_slot(0, NodeId(9), NodeId(3), Meters(60.0), t2)
-                    .0
-                    .to_bits()
-            );
+            let fwd_a = a.sample_slot(2, NodeId(3), NodeId(9), Meters(100.0), t);
+            let rev_a = a.sample_slot(0, NodeId(9), NodeId(3), Meters(60.0), t2);
+            let rev_b = b.sample_slot(3, NodeId(9), NodeId(3), Meters(60.0), t2);
+            let fwd_b = b.sample_slot(1, NodeId(3), NodeId(9), Meters(100.0), t);
+            assert_eq!(fwd_a.0.to_bits(), fwd_b.0.to_bits());
+            assert_eq!(rev_a.0.to_bits(), rev_b.0.to_bits());
         }
     }
 
@@ -561,8 +544,8 @@ mod tests {
     /// mobility path rests on).
     #[test]
     fn relocated_slot_state_continues_the_same_trajectory() {
-        let mut a = process(DayProfile::clear(), 42);
-        let mut b = process(DayProfile::clear(), 42);
+        let mut a = raw(DayProfile::clear(), 42);
+        let mut b = raw(DayProfile::clear(), 42);
         a.reserve_slots(8);
         b.reserve_slots(8);
         for k in 0..20u64 {
@@ -596,7 +579,7 @@ mod tests {
         }
         // A cleared slot re-derives from the master: bitwise the state a
         // fresh process would create for the same directed pair.
-        let mut c = process(DayProfile::clear(), 42);
+        let mut c = raw(DayProfile::clear(), 42);
         c.reserve_slots(1);
         b.clear_slot(7);
         let t = SimTime::from_secs(9);
@@ -700,7 +683,7 @@ mod tests {
     #[test]
     fn short_links_shadow_less_than_long_links() {
         let mut s = process(DayProfile::clear(), 21);
-        let spread = |d: f64, s: &mut Shadowing| {
+        let spread = |d: f64, s: &mut ByLink| {
             let vals: Vec<f64> = (0..500u32)
                 .map(|i| {
                     s.sample(
@@ -784,7 +767,7 @@ mod tests {
     fn rainy_day_adds_loss_on_average() {
         let mut clear = process(DayProfile::clear(), 3);
         let mut rainy = process(DayProfile::rainy(), 3);
-        let avg = |s: &mut Shadowing| {
+        let avg = |s: &mut ByLink| {
             (0..500u32)
                 .map(|i| {
                     s.sample(
