@@ -196,6 +196,35 @@ fn station_label(prefix: &[u8; 4], station: u32) -> ([u8; 14], usize) {
     (label, len)
 }
 
+/// Arms the timer `timer` holds to fire `delay` from now: re-arms its
+/// pending event in place, or schedules `ev` if it has none (never
+/// armed, fired or cancelled). The pending event's payload is always
+/// `ev`, so either way the timer pops exactly where cancelling it and
+/// scheduling `ev` afresh would put it — in the trailing class if
+/// `trailing`.
+fn arm_timer(
+    sim: &mut Simulator<Event>,
+    timer: &mut Option<EventHandle>,
+    delay: SimDuration,
+    trailing: bool,
+    ev: Event,
+) {
+    let rearmed = timer.is_some_and(|h| {
+        if trailing {
+            sim.rearm_in_trailing(h, delay)
+        } else {
+            sim.rearm_in(h, delay)
+        }
+    });
+    if !rearmed {
+        *timer = Some(if trailing {
+            sim.schedule_in_trailing(delay, ev)
+        } else {
+            sim.schedule_in(delay, ev)
+        });
+    }
+}
+
 /// The dense timer-table slot of a [`TimerKind`] (same order as the MAC
 /// kind scopes in [`PROBE_SCOPES`]).
 fn timer_slot(kind: TimerKind) -> usize {
@@ -297,8 +326,12 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     /// several times per frame exchange, making this one of the hottest
     /// state tables in the world.
     mac_timers: Vec<Option<EventHandle>>,
-    rto_timers: HashMap<(u32, u32), EventHandle>,
-    delack_timers: HashMap<(u32, u32), EventHandle>,
+    /// Each flow's TCP retransmission timer, indexed by [`FlowId`]: a
+    /// flow has one sender, so the flow id alone names the timer.
+    rto_timers: Vec<Option<EventHandle>>,
+    /// Each flow's delayed-ACK timer at its one receiver, indexed by
+    /// [`FlowId`].
+    delack_timers: Vec<Option<EventHandle>>,
     next_tag: u64,
     snapshot: HashMap<FlowId, u64>,
     routes: StaticRoutes,
@@ -514,6 +547,10 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             (engine, m.epoch)
         });
         let n_nodes = nodes.len();
+        // The per-flow timer tables index by flow id; the scenario
+        // builder numbers flows densely from 0, so they hold one entry
+        // per flow.
+        let n_flows = flows.iter().map(|f| f.id.0 as usize + 1).max().unwrap_or(0);
         let mut world = World {
             sim,
             medium,
@@ -526,8 +563,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             flows,
             in_flight: Vec::new(),
             mac_timers: vec![None; n_nodes * MAC_TIMER_SLOTS],
-            rto_timers: HashMap::new(),
-            delack_timers: HashMap::new(),
+            rto_timers: vec![None; n_flows],
+            delack_timers: vec![None; n_flows],
             next_tag: 1,
             snapshot: HashMap::new(),
             routes,
@@ -735,7 +772,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 self.apply_mac_actions(idx, actions, now);
             }
             Event::RtoTimer { node, flow } => {
-                self.rto_timers.remove(&(node.0, flow.0));
+                self.rto_timers[flow.0 as usize] = None;
                 let idx = self.node_idx(node);
                 let mut outs = self.tcp_out_pool.get();
                 if let Some(s) = self.nodes[idx].tcp_senders.get_mut(&flow) {
@@ -744,7 +781,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 self.apply_tcp_outputs(idx, flow, outs, now);
             }
             Event::DelackTimer { node, flow } => {
-                self.delack_timers.remove(&(node.0, flow.0));
+                self.delack_timers[flow.0 as usize] = None;
                 let idx = self.node_idx(node);
                 let mut outs = self.tcp_out_pool.get();
                 if let Some(r) = self.nodes[idx].tcp_receivers.get_mut(&flow) {
@@ -934,30 +971,28 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             match out {
                 TcpOutput::Send(packet) => self.enqueue_packet(idx, packet, now),
                 TcpOutput::ArmRto(delay) => {
-                    let node = self.nodes[idx].id;
-                    let h = self.sim.schedule_in(delay, Event::RtoTimer { node, flow });
-                    if let Some(old) = self.rto_timers.insert((node.0, flow.0), h) {
-                        self.sim.cancel(old);
-                    }
+                    let ev = Event::RtoTimer {
+                        node: self.nodes[idx].id,
+                        flow,
+                    };
+                    let timer = &mut self.rto_timers[flow.0 as usize];
+                    arm_timer(&mut self.sim, timer, delay, false, ev);
                 }
                 TcpOutput::CancelRto => {
-                    let node = self.nodes[idx].id;
-                    if let Some(h) = self.rto_timers.remove(&(node.0, flow.0)) {
+                    if let Some(h) = self.rto_timers[flow.0 as usize].take() {
                         self.sim.cancel(h);
                     }
                 }
                 TcpOutput::ArmDelack(delay) => {
-                    let node = self.nodes[idx].id;
-                    let h = self
-                        .sim
-                        .schedule_in(delay, Event::DelackTimer { node, flow });
-                    if let Some(old) = self.delack_timers.insert((node.0, flow.0), h) {
-                        self.sim.cancel(old);
-                    }
+                    let ev = Event::DelackTimer {
+                        node: self.nodes[idx].id,
+                        flow,
+                    };
+                    let timer = &mut self.delack_timers[flow.0 as usize];
+                    arm_timer(&mut self.sim, timer, delay, false, ev);
                 }
                 TcpOutput::CancelDelack => {
-                    let node = self.nodes[idx].id;
-                    if let Some(h) = self.delack_timers.remove(&(node.0, flow.0)) {
+                    if let Some(h) = self.delack_timers[flow.0 as usize].take() {
                         self.sim.cancel(h);
                     }
                 }
@@ -985,15 +1020,9 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                     // pending event at its instant — so it goes in the
                     // trailing class (fires after every ordinary event at
                     // that instant; see `Simulator::schedule_in_trailing`).
-                    let h = if kind == TimerKind::BackoffBulk {
-                        self.sim.schedule_in_trailing(delay, ev)
-                    } else {
-                        self.sim.schedule_in(delay, ev)
-                    };
-                    let slot = idx * MAC_TIMER_SLOTS + timer_slot(kind);
-                    if let Some(old) = self.mac_timers[slot].replace(h) {
-                        self.sim.cancel(old);
-                    }
+                    let trailing = kind == TimerKind::BackoffBulk;
+                    let timer = &mut self.mac_timers[idx * MAC_TIMER_SLOTS + timer_slot(kind)];
+                    arm_timer(&mut self.sim, timer, delay, trailing, ev);
                 }
                 MacAction::CancelTimer { kind } => {
                     let slot = idx * MAC_TIMER_SLOTS + timer_slot(kind);

@@ -4,25 +4,26 @@
 //!
 //! * **Deterministic tie-break.** Events scheduled for the same instant pop
 //!   in the order they were scheduled (FIFO), never in heap-internal order.
-//! * **Cheap cancellation without tombstones.** Timers (ACK timeouts,
-//!   backoff expiry) are cancelled far more often than they fire. Each live
-//!   event owns a generation-stamped slot in a slab; cancelling vacates the
-//!   slot in O(1) — no per-event hashing, no tombstone set to grow. The
-//!   heap entry left behind carries the generation it was minted under and
-//!   is recognised as stale (and dropped) when it surfaces in `pop` or
-//!   `peek_time`.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! * **The heap holds only live events.** Timers (ACK timeouts, backoff
+//!   expiry, NAV) are cancelled or re-armed far more often than they fire.
+//!   The queue is an indexed binary heap: each live event owns a
+//!   generation-stamped slot in a slab, and the slot records where its
+//!   entry sits in the heap. Cancelling removes that entry at once with
+//!   one sift, and re-arming ([`EventQueue::rearm`]) gives it a new key
+//!   and sifts it in place, so no stale entry is ever left to surface in
+//!   `pop` or `peek_time`. A handle whose event fired or was cancelled is
+//!   recognised by its generation and is inert.
 
 use crate::time::SimTime;
 
-/// A handle to a scheduled event, used to cancel it before it fires.
+/// A handle to a scheduled event, used to cancel or re-arm it before it
+/// fires.
 ///
 /// Handles are cheap to copy and remain valid (but inert) after the event
 /// has fired or been cancelled: the slot generation recorded in the handle
 /// no longer matches the slab, so late cancels are rejected in O(1) —
-/// even when the slot has since been reused by a newer event.
+/// even when the slot has since been reused by a newer event. A re-armed
+/// event keeps its handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle {
     slot: u32,
@@ -30,7 +31,8 @@ pub struct EventHandle {
 }
 
 /// Heap entries carry only the scheduling key and a slot reference; the
-/// payload lives in the slab so cancellation can reclaim it immediately.
+/// payload lives in the slab, which also records each entry's heap
+/// position.
 ///
 /// The full ordering key is `(time, class, rank, seq)`:
 ///
@@ -40,48 +42,34 @@ pub struct EventHandle {
 /// * `rank` is 0 for ordinary events. Trailing events store the bitwise
 ///   complement of their scheduling instant, so among trailing events at
 ///   the same firing instant the most recently scheduled fires first.
-/// * `seq` keeps same-key events FIFO.
+/// * `seq` keeps same-key events FIFO. It is unique, so no two entries
+///   compare equal.
+#[derive(Clone, Copy)]
 struct HeapEntry {
     time: SimTime,
     class: u8,
     rank: u64,
     seq: u64,
     slot: u32,
-    generation: u32,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest
-        // (time, class, rank, seq) wins.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.rank.cmp(&self.rank))
-            .then_with(|| other.seq.cmp(&self.seq))
+impl HeapEntry {
+    /// True if `self` pops before `other`.
+    #[inline]
+    fn before(&self, other: &HeapEntry) -> bool {
+        (self.time, self.class, self.rank, self.seq)
+            < (other.time, other.class, other.rank, other.seq)
     }
 }
 
 /// One slab slot. The generation counts how many times the slot has been
-/// vacated; a handle or heap entry minted under an older generation is
-/// stale. (A single slot would need 2^32 reuses while one stale heap entry
-/// stays buried for the counter to alias — beyond any simulated horizon.)
+/// vacated; a handle minted under an older generation is stale. (The
+/// counter wraps after 2^32 reuses of one slot, and a handle that old
+/// would then alias the slot's occupant — beyond any simulated horizon.)
 struct Slot<E> {
     generation: u32,
+    /// Index of this slot's entry in the heap while `event` is `Some`.
+    pos: u32,
     event: Option<E>,
 }
 
@@ -103,15 +91,16 @@ struct Slot<E> {
 /// assert_eq!(ev, "same-instant, scheduled later");
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry>,
-    /// Event payloads, indexed by `HeapEntry::slot` / `EventHandle::slot`.
+    /// A binary min-heap of the live events' keys, one entry per live
+    /// event.
+    heap: Vec<HeapEntry>,
+    /// Event payloads and heap positions, indexed by `HeapEntry::slot` /
+    /// `EventHandle::slot`.
     slots: Vec<Slot<E>>,
     /// Vacated slot indices ready for reuse.
     free: Vec<u32>,
     /// FIFO tie-break for same-instant events.
     next_seq: u64,
-    /// Live (scheduled, not cancelled, not fired) event count.
-    live: usize,
     /// Largest live population ever reached (see [`EventQueue::high_water`]).
     high_water: usize,
 }
@@ -120,11 +109,10 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            live: 0,
             high_water: 0,
         }
     }
@@ -161,8 +149,6 @@ impl<E> EventQueue<E> {
     }
 
     fn push_keyed(&mut self, time: SimTime, class: u8, rank: u64, event: E) -> EventHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize].event = Some(event);
@@ -172,89 +158,209 @@ impl<E> EventQueue<E> {
                 let slot = u32::try_from(self.slots.len()).expect("event slab exceeds u32 slots");
                 self.slots.push(Slot {
                     generation: 0,
+                    pos: 0, // set by `sift_up` below
                     event: Some(event),
                 });
                 slot
             }
         };
-        let generation = self.slots[slot as usize].generation;
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.heap.push(HeapEntry {
             time,
             class,
             rank,
             seq,
             slot,
-            generation,
         });
-        self.live += 1;
-        self.high_water = self.high_water.max(self.live);
-        EventHandle { slot, generation }
+        self.sift_up(self.heap.len() - 1);
+        self.high_water = self.high_water.max(self.heap.len());
+        EventHandle {
+            slot,
+            generation: self.slots[slot as usize].generation,
+        }
     }
 
-    /// Vacates `slot`, returning its payload and retiring the generation
-    /// every outstanding handle/heap entry for it was minted under.
+    /// The heap position of `handle`'s entry, or `None` if its event has
+    /// fired or been cancelled.
+    fn live_pos(&self, handle: EventHandle) -> Option<usize> {
+        match self.slots.get(handle.slot as usize) {
+            Some(s) if s.generation == handle.generation && s.event.is_some() => {
+                Some(s.pos as usize)
+            }
+            _ => None,
+        }
+    }
+
+    /// Vacates `slot`, whose entry has left the heap, returning its
+    /// payload and retiring the generation every outstanding handle for
+    /// it was minted under.
     fn vacate(&mut self, slot: u32) -> E {
         let s = &mut self.slots[slot as usize];
         let event = s.event.take().expect("vacating an empty slot");
         s.generation = s.generation.wrapping_add(1);
         self.free.push(slot);
-        self.live -= 1;
         event
     }
 
-    /// Cancels a scheduled event.
+    /// Cancels a scheduled event, removing it from the heap at once.
     ///
     /// Returns `true` if the event was still pending, `false` if it had
     /// already fired or been cancelled (in which case nothing changes —
     /// repeated cancels of a dead handle are free and allocate nothing).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self.slots.get(handle.slot as usize) {
-            Some(s) if s.generation == handle.generation && s.event.is_some() => {
-                self.vacate(handle.slot);
-                true
-            }
-            _ => false,
+        let Some(pos) = self.live_pos(handle) else {
+            return false;
+        };
+        let last = self.heap.pop().expect("a live event has a heap entry");
+        if pos < self.heap.len() {
+            self.heap[pos] = last;
+            self.restore(pos);
         }
+        self.vacate(handle.slot);
+        true
     }
 
-    /// Removes and returns the earliest live event with its time.
+    /// Moves a pending event to `time` in the ordinary class, keeping its
+    /// payload and its handle.
+    ///
+    /// The event pops exactly where cancelling it and pushing its payload
+    /// anew would put it: it draws a fresh sequence number, so it follows
+    /// every event already scheduled for `time`. Returns `false`, and
+    /// changes nothing, if the event had already fired or been cancelled.
+    pub fn rearm(&mut self, handle: EventHandle, time: SimTime) -> bool {
+        self.rearm_keyed(handle, time, 0, 0)
+    }
+
+    /// Like [`EventQueue::rearm`], but into the trailing class with
+    /// `scheduled_at` as the new scheduling instant, exactly as
+    /// cancelling the event and passing its payload to
+    /// [`EventQueue::push_trailing`] would.
+    pub fn rearm_trailing(
+        &mut self,
+        handle: EventHandle,
+        time: SimTime,
+        scheduled_at: SimTime,
+    ) -> bool {
+        self.rearm_keyed(handle, time, 1, !scheduled_at.as_nanos())
+    }
+
+    fn rearm_keyed(&mut self, handle: EventHandle, time: SimTime, class: u8, rank: u64) -> bool {
+        let Some(pos) = self.live_pos(handle) else {
+            return false;
+        };
+        let e = &mut self.heap[pos];
+        e.time = time;
+        e.class = class;
+        e.rank = rank;
+        e.seq = self.next_seq;
+        self.next_seq += 1;
+        self.restore(pos);
+        true
+    }
+
+    /// Removes and returns the earliest pending event with its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.slots[entry.slot as usize].generation != entry.generation {
-                continue; // cancelled: the slot moved on without it
-            }
-            let event = self.vacate(entry.slot);
-            return Some((entry.time, event));
-        }
-        None
+        let last = self.heap.pop()?;
+        let top = if self.heap.is_empty() {
+            last
+        } else {
+            let top = std::mem::replace(&mut self.heap[0], last);
+            self.sift_down_to_bottom(0);
+            top
+        };
+        Some((top.time, self.vacate(top.slot)))
     }
 
-    /// The time of the earliest live event, if any, without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize].generation == entry.generation {
-                return Some(entry.time);
-            }
-            self.heap.pop(); // drop the stale entry eagerly
-        }
-        None
+    /// The time of the earliest pending event, if any, without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|e| e.time)
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending (scheduled, not cancelled, not fired) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// True if no live events are pending.
+    /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
-    /// The largest number of live events ever pending at once — the
+    /// The largest number of events ever pending at once — the
     /// queue-depth high-water mark, a capacity-planning signal for the
     /// engine's self-instrumentation.
     pub fn high_water(&self) -> usize {
         self.high_water
+    }
+
+    /// Writes `entry` at heap position `pos` and records the position in
+    /// its slot.
+    #[inline]
+    fn place(&mut self, pos: usize, entry: HeapEntry) {
+        self.slots[entry.slot as usize].pos = pos as u32;
+        self.heap[pos] = entry;
+    }
+
+    /// Restores heap order around `pos` after its entry was replaced or
+    /// re-keyed: the entry moves up if it now precedes its parent and
+    /// down otherwise.
+    fn restore(&mut self, pos: usize) {
+        if pos > 0 && self.heap[pos].before(&self.heap[(pos - 1) / 2]) {
+            self.sift_up(pos);
+        } else {
+            self.sift_down_to_bottom(pos);
+        }
+    }
+
+    /// Moves the entry at `pos` up past every parent it precedes.
+    fn sift_up(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !entry.before(&self.heap[parent]) {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Moves the entry at `start` down to its place in the subtree under
+    /// `start`, bottom-up, as std's `BinaryHeap::pop` does: the hole
+    /// walks to a leaf along the earlier child, one comparison per level
+    /// instead of a top-down sift's two, and the entry then sifts up
+    /// from there. The entry usually belongs near the bottom (it was the
+    /// heap's last, or a timer moved later), so the climb back is short.
+    fn sift_down_to_bottom(&mut self, start: usize) {
+        let entry = self.heap[start];
+        let end = self.heap.len();
+        let mut pos = start;
+        let mut child = 2 * pos + 1;
+        while child + 1 < end {
+            if self.heap[child + 1].before(&self.heap[child]) {
+                child += 1;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+            child = 2 * pos + 1;
+        }
+        if child < end {
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        // The climb back, bounded by `start`. Written out rather than
+        // calling `sift_up`: the call measured ~3% slower on `paper-grid`.
+        while pos > start {
+            let parent = (pos - 1) / 2;
+            if !entry.before(&self.heap[parent]) {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        self.place(pos, entry);
     }
 }
 
@@ -267,7 +373,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.live)
+            .field("live", &self.heap.len())
             .field("slots", &self.slots.len())
             .field("next_seq", &self.next_seq)
             .finish()
@@ -447,5 +553,116 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(q.cancel(h));
         assert!(q.is_empty());
+        // Live timers cancelled or re-armed before they fire leave no
+        // entry behind either: the heap never outgrows the live set.
+        let keep = q.push(t(1_000), 0);
+        for i in 0..100_000u64 {
+            let h = q.push(t(200 + i % 7), i);
+            assert!(q.rearm(keep, t(1_000 + i)));
+            assert!(q.cancel(h));
+            assert_eq!(q.heap.len(), 1);
+        }
+        assert!(q.slots.len() <= 4, "slab never grew past the live peak");
+        assert_eq!(q.pop(), Some((t(100_999), 0)));
+    }
+
+    /// Checks every structural invariant of the indexed heap: one entry
+    /// per live slot, each slot pointing at its entry, heap order, and
+    /// `len()` equal to the heap's length.
+    fn assert_consistent<E>(q: &EventQueue<E>) {
+        assert_eq!(q.heap.len(), q.len());
+        assert_eq!(q.heap.len() + q.free.len(), q.slots.len());
+        for (i, e) in q.heap.iter().enumerate() {
+            let s = &q.slots[e.slot as usize];
+            assert!(s.event.is_some(), "heap entry {i} points at a vacated slot");
+            assert_eq!(s.pos as usize, i, "slot {} lost its heap position", e.slot);
+            if i > 0 {
+                assert!(!e.before(&q.heap[(i - 1) / 2]), "heap order broken at {i}");
+            }
+        }
+        for &f in &q.free {
+            assert!(q.slots[f as usize].event.is_none());
+        }
+    }
+
+    #[test]
+    fn heap_holds_exactly_the_live_events_after_every_operation() {
+        let mut rng = crate::SimRng::from_seed(0x0E0E_0001);
+        let mut q = EventQueue::new();
+        let mut handles: Vec<EventHandle> = Vec::new();
+        for step in 0..20_000u32 {
+            let at = t(rng.gen_range_u32(0, 64) as u64);
+            let pick = |rng: &mut crate::SimRng, hs: &[EventHandle]| {
+                hs[rng.gen_range_u32(0, hs.len() as u32) as usize]
+            };
+            match rng.gen_range_u32(0, 7) {
+                0 | 1 => handles.push(q.push(at, step)),
+                2 => handles.push(q.push_trailing(at, t(rng.gen_range_u32(0, 64) as u64), step)),
+                3 if !handles.is_empty() => {
+                    q.cancel(pick(&mut rng, &handles));
+                }
+                4 if !handles.is_empty() => {
+                    q.rearm(pick(&mut rng, &handles), at);
+                }
+                5 if !handles.is_empty() => {
+                    q.rearm_trailing(pick(&mut rng, &handles), at, t(0));
+                }
+                _ => {
+                    q.pop();
+                }
+            }
+            assert_consistent(&q);
+            assert_eq!(q.peek_time(), q.heap.iter().map(|e| e.time).min());
+        }
+    }
+
+    #[test]
+    fn rearm_moves_a_pending_event_and_keeps_its_handle() {
+        let mut q = EventQueue::new();
+        let h = q.push(t(10), "timer");
+        q.push(t(20), "other");
+        assert!(q.rearm(h, t(30)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t(20), "other")));
+        assert!(q.rearm(h, t(25)), "the handle survives its own re-arm");
+        assert_eq!(q.pop(), Some((t(25), "timer")));
+        assert!(!q.rearm(h, t(40)), "a fired event cannot be re-armed");
+        let h2 = q.push(t(50), "cancelled");
+        assert!(q.cancel(h2));
+        assert!(!q.rearm(h2, t(60)), "a cancelled event cannot be re-armed");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn rearm_orders_like_cancel_then_push() {
+        // A re-armed event follows every event already scheduled for its
+        // new instant, exactly as a fresh push would.
+        let mut q = EventQueue::new();
+        let h = q.push(t(5), "rearmed");
+        q.push(t(10), "first");
+        q.push(t(10), "second");
+        assert!(q.rearm(h, t(10)));
+        q.push(t(10), "later");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["first", "second", "rearmed", "later"]);
+    }
+
+    #[test]
+    fn trailing_rearm_takes_its_rank_from_the_new_scheduling_instant() {
+        let mut q = EventQueue::new();
+        let h = q.push_trailing(t(100), t(50), "rearmed");
+        q.push_trailing(t(100), t(40), "older");
+        q.push(t(100), "ordinary");
+        // Re-armed from instant 30: now older than "older".
+        assert!(q.rearm_trailing(h, t(100), t(30)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["ordinary", "older", "rearmed"]);
+        // And an ordinary re-arm leaves the trailing class: the event
+        // now pops before an ordinary one scheduled after it.
+        let h = q.push_trailing(t(200), t(0), "was trailing");
+        assert!(q.rearm(h, t(200)));
+        q.push(t(200), "ordinary");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["was trailing", "ordinary"]);
     }
 }

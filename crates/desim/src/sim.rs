@@ -93,6 +93,26 @@ impl<E> Simulator<E> {
         self.queue.push_trailing(at, self.now, event)
     }
 
+    /// Moves the pending event behind `handle` to `delay` from now,
+    /// keeping its payload and handle: it pops exactly where cancelling
+    /// it and scheduling its payload anew with
+    /// [`Simulator::schedule_in`] would put it (see
+    /// [`EventQueue::rearm`]). Returns `false`, and changes nothing, if
+    /// the event already fired or was cancelled.
+    pub fn rearm_in(&mut self, handle: EventHandle, delay: SimDuration) -> bool {
+        let at = self.now + delay;
+        self.queue.rearm(handle, at)
+    }
+
+    /// Like [`Simulator::rearm_in`], but into the trailing class, with
+    /// the current instant as the new scheduling instant: the
+    /// re-armed event orders as one freshly scheduled with
+    /// [`Simulator::schedule_in_trailing`] would.
+    pub fn rearm_in_trailing(&mut self, handle: EventHandle, delay: SimDuration) -> bool {
+        let at = self.now + delay;
+        self.queue.rearm_trailing(handle, at, self.now)
+    }
+
     /// Pre-sizes the pending-event set for at least `capacity` events
     /// (see [`EventQueue::reserve`]).
     pub fn reserve(&mut self, capacity: usize) {
@@ -116,7 +136,7 @@ impl<E> Simulator<E> {
     }
 
     /// The time of the next pending event, if any, without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
@@ -203,6 +223,21 @@ mod tests {
         sim.schedule_at(SimTime::from_micros(10), ());
         sim.pop();
         sim.schedule_at(SimTime::from_micros(5), ());
+    }
+
+    #[test]
+    fn rearmed_events_fire_at_their_new_time() {
+        let mut sim = Simulator::new();
+        let h = sim.schedule_in(SimDuration::from_micros(1), "timer");
+        sim.schedule_in(SimDuration::from_micros(2), "work");
+        assert!(sim.rearm_in(h, SimDuration::from_micros(3)));
+        assert_eq!(sim.pop(), Some((SimTime::from_micros(2), "work")));
+        assert!(sim.rearm_in_trailing(h, SimDuration::from_micros(1)));
+        sim.schedule_in(SimDuration::from_micros(1), "ordinary");
+        assert_eq!(sim.pop().map(|(_, e)| e), Some("ordinary"));
+        assert_eq!(sim.pop(), Some((SimTime::from_micros(3), "timer")));
+        assert!(!sim.rearm_in(h, SimDuration::from_micros(1)), "fired");
+        assert!(sim.is_idle());
     }
 
     #[test]

@@ -1393,48 +1393,6 @@ impl Medium {
         self.audible_lens = new_lens;
         self.live_links = live;
     }
-
-    /// Allocating form of [`Medium::transmit_into`] for tests, extended
-    /// to every receiver that is not deaf: the participants, then the
-    /// listeners sampled at the same `now`, merged into station order —
-    /// what a driver that keeps listeners in its event loop scatters.
-    #[cfg(test)]
-    pub fn transmit(
-        &mut self,
-        source: NodeId,
-        tx_power: Dbm,
-        rate: PhyRate,
-        mpdu_bytes: u32,
-        preamble: Preamble,
-        now: SimTime,
-    ) -> (TxId, FrameAirtime, Vec<(NodeId, TxSignal)>) {
-        let mut deliveries = Vec::new();
-        let (tx_id, airtime) = self.transmit_into(
-            source,
-            tx_power,
-            rate,
-            mpdu_bytes,
-            preamble,
-            now,
-            &mut deliveries,
-        );
-        let starts_at = now + self.config.propagation_delay;
-        let signal = TxSignal {
-            tx_id,
-            source,
-            rx_power: Dbm(f64::NAN),
-            rate,
-            mpdu_bytes,
-            preamble,
-            starts_at,
-            ends_at: starts_at + airtime.total(),
-        };
-        self.sample_listeners(source, tx_power, now, |rx, rx_power| {
-            deliveries.push((rx, TxSignal { rx_power, ..signal }));
-        });
-        deliveries.sort_unstable_by_key(|&(rx, _)| rx);
-        (tx_id, airtime, deliveries)
-    }
 }
 
 #[cfg(test)]
@@ -1442,6 +1400,50 @@ mod tests {
     use super::*;
     use crate::pathloss::LogDistance;
     use desim::SimRng;
+
+    impl Medium {
+        /// Allocating form of [`Medium::transmit_into`], extended to
+        /// every receiver that is not deaf: the participants, then the
+        /// listeners sampled at the same `now`, merged into station
+        /// order — what a driver that keeps listeners in its event loop
+        /// scatters.
+        fn transmit(
+            &mut self,
+            source: NodeId,
+            tx_power: Dbm,
+            rate: PhyRate,
+            mpdu_bytes: u32,
+            preamble: Preamble,
+            now: SimTime,
+        ) -> (TxId, FrameAirtime, Vec<(NodeId, TxSignal)>) {
+            let mut deliveries = Vec::new();
+            let (tx_id, airtime) = self.transmit_into(
+                source,
+                tx_power,
+                rate,
+                mpdu_bytes,
+                preamble,
+                now,
+                &mut deliveries,
+            );
+            let starts_at = now + self.config.propagation_delay;
+            let signal = TxSignal {
+                tx_id,
+                source,
+                rx_power: Dbm(f64::NAN),
+                rate,
+                mpdu_bytes,
+                preamble,
+                starts_at,
+                ends_at: starts_at + airtime.total(),
+            };
+            self.sample_listeners(source, tx_power, now, |rx, rx_power| {
+                deliveries.push((rx, TxSignal { rx_power, ..signal }));
+            });
+            deliveries.sort_unstable_by_key(|&(rx, _)| rx);
+            (tx_id, airtime, deliveries)
+        }
+    }
 
     fn medium(positions: Vec<Position>, sigma_zero: bool) -> Medium {
         let day = if sigma_zero {

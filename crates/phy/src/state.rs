@@ -219,14 +219,6 @@ pub struct PhyState<S: TraceSink = NullSink> {
     energy_busy: bool,
     noise: MilliWatts,
     cs_threshold: MilliWatts,
-    /// Last `sinr.to_bits()` → BER pair for the DBPSK PLCP charge in
-    /// [`PhyState::integrate`]. Segment SINR only moves when the arrival
-    /// set changes, so consecutive segments usually hit; keying on the
-    /// exact bit pattern keeps results bit-identical to recomputation.
-    plcp_ber_memo: Option<(u64, f64)>,
-    /// Same memo for the body charge, additionally keyed by modulation
-    /// (the body rate varies per locked frame).
-    body_ber_memo: Option<(Modulation, u64, f64)>,
     counters: PhyCounters,
     airtime: Airtime,
     airtime_mark: SimTime,
@@ -257,8 +249,6 @@ impl<S: TraceSink> PhyState<S> {
             arriving_sum: 0.0,
             arriving_comp: 0.0,
             energy_busy: false,
-            plcp_ber_memo: None,
-            body_ber_memo: None,
             counters: PhyCounters::default(),
             airtime: Airtime::default(),
             airtime_mark: SimTime::ZERO,
@@ -518,31 +508,12 @@ impl<S: TraceSink> PhyState<S> {
             if from < lock.plcp_end {
                 let seg_end = to.min(lock.plcp_end);
                 let bits = (seg_end - from).as_micros_f64() * 1.0;
-                // Memoized: segment SINR repeats whenever the arrival set
-                // is unchanged between charges, skipping the exp/ln/erfc
-                // pipeline with a bit-identical result.
-                let b = match self.plcp_ber_memo {
-                    Some((key, v)) if key == sinr.to_bits() => v,
-                    _ => {
-                        let v = ber(Modulation::Dbpsk, sinr);
-                        self.plcp_ber_memo = Some((sinr.to_bits(), v));
-                        v
-                    }
-                };
-                lock.plcp_log_success += bits * ln_one_minus(b);
+                lock.plcp_log_success += bits * ln_one_minus(ber(Modulation::Dbpsk, sinr));
             }
             if to > lock.plcp_end {
                 let seg_start = from.max(lock.plcp_end);
                 let bits = (to - seg_start).as_micros_f64() * lock.rate.bits_per_micro();
-                let m = lock.rate.modulation();
-                let b = match self.body_ber_memo {
-                    Some((sm, key, v)) if sm == m && key == sinr.to_bits() => v,
-                    _ => {
-                        let v = ber(m, sinr);
-                        self.body_ber_memo = Some((m, sinr.to_bits(), v));
-                        v
-                    }
-                };
+                let b = ber(lock.rate.modulation(), sinr);
                 lock.body_log_success += bits * ln_one_minus(b);
             }
         }
