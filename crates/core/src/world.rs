@@ -7,8 +7,9 @@
 //! immediately, possibly recursing (a delivered TCP segment produces an
 //! ACK, which enqueues at the MAC, which may arm a DIFS timer…). In an
 //! untraced world, listeners (silent stations that hear frames) leave
-//! the event loop: their deliveries are logged and replayed after
-//! dispatch through the same receiver step (see the `receiver` module).
+//! the event loop: their deliveries are logged and replayed through the
+//! same receiver step on a worker thread that overlaps dispatch (see the
+//! `receiver` module).
 //!
 //! Determinism: all state mutation happens in event order; all randomness
 //! flows from per-component substreams of the scenario seed. Two runs of
@@ -17,12 +18,12 @@
 use std::collections::HashMap;
 
 use desim::{EventHandle, NoProbe, Probe, SimDuration, SimRng, SimTime, Simulator};
-use dot11_mac::{DcfMac, FrameKind, MacAction, MacFrame, MacSdu, TimerKind};
+use dot11_mac::{DcfMac, FrameKind, MacAction, MacConfig, MacFrame, MacSdu, TimerKind};
 use dot11_net::{CbrSource, SaturatedSource, TcpConfig};
 use dot11_net::{FlowId, Packet, Segment, StaticRoutes, TcpOutput, TcpReceiver, TcpSender};
 use dot11_phy::{
-    CullPolicy, Dbm, Medium, MediumConfig, NodeId, PhyState, Shadowing, StationRoles, TxId,
-    TxSignal, CULL_MARGIN_DB,
+    CullPolicy, Dbm, Medium, MediumConfig, NodeId, PhyState, RadioConfig, Shadowing, StationRoles,
+    TxId, TxSignal, CULL_MARGIN_DB,
 };
 use dot11_trace::{FrameClass, NullSink, TraceRecord, TraceSink};
 
@@ -121,8 +122,13 @@ pub enum Event {
 /// nested inside kind scopes and may overlap each other (a MAC action
 /// that transmits charges its scatter to both `phase_mac_actions` and
 /// `phase_scatter`), so they explain where kind time goes but do not sum
-/// with it.
-pub const PROBE_SCOPES: [&str; 22] = [
+/// with it. The probe lives on the dispatch thread: the listeners'
+/// receiver steps, which the replay worker runs, are in no scope, and
+/// `phase_replay_wait` is the time the dispatch thread spends blocked
+/// on that worker, mid-step (inside a signal kind scope) or in the
+/// drain that ends each [`World::step_until`] (outside every kind
+/// scope).
+pub const PROBE_SCOPES: [&str; 23] = [
     "flow_start",
     "signal_start",
     "signal_end",
@@ -145,6 +151,7 @@ pub const PROBE_SCOPES: [&str; 22] = [
     "phase_ber_eval",
     "phase_mac_actions",
     "phase_response_build",
+    "phase_replay_wait",
 ];
 
 /// Phase-scope indices into [`PROBE_SCOPES`] (the kind scopes occupy
@@ -154,12 +161,18 @@ pub(crate) const SCOPE_ARRIVAL_SCAN: usize = 18;
 pub(crate) const SCOPE_BER_EVAL: usize = 19;
 const SCOPE_MAC_ACTIONS: usize = 20;
 const SCOPE_RESPONSE_BUILD: usize = 21;
+pub(crate) const SCOPE_REPLAY_WAIT: usize = 22;
 
 /// Dense per-station timer-slot count: one slot per [`TimerKind`].
 const MAC_TIMER_SLOTS: usize = 8;
 
 /// The `station_nodes` entry of a deaf station, which has no node.
 const NO_NODE: u32 = u32::MAX;
+
+/// The tag on a replayed listener's `station_nodes` entry, whose other
+/// bits are its index among the replay's listener nodes (see
+/// [`listener_of`]).
+const LISTENER: u32 = 1 << 31;
 
 /// The index into a world's `nodes` of station `id`, which must not be
 /// deaf, given its `station_nodes` map. One array read at most: only a
@@ -171,6 +184,13 @@ pub(crate) fn node_of(station_nodes: &[u32], id: NodeId) -> usize {
     } else {
         station_nodes[id.index()] as usize
     }
+}
+
+/// The index among the replay's listener nodes of station `id`, which
+/// must be a replayed listener, given its `station_nodes` map.
+#[inline]
+pub(crate) fn listener_of(station_nodes: &[u32], id: NodeId) -> usize {
+    (station_nodes[id.index()] & !LISTENER) as usize
 }
 
 /// A station's substream label: `prefix` then the station's decimal
@@ -296,12 +316,15 @@ impl<T> BufPool<T> {
 pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     sim: Simulator<Event>,
     medium: Medium,
-    /// The stations that are not deaf, in station order. Handlers take
-    /// an index into this table (`idx`), found once per event through
+    /// The stations the event loop runs (all but deaf stations and
+    /// replayed listeners), in station order. Handlers take an index
+    /// into this table (`idx`), found once per event through
     /// [`World::node_idx`].
     nodes: Vec<Node<S>>,
-    /// Each station's index into `nodes`, [`NO_NODE`] for a deaf one.
-    /// Empty when no station is deaf: then a station's index is its id.
+    /// Each station's index into `nodes`, [`NO_NODE`] for a deaf one,
+    /// and for a replayed listener its index among the replay's nodes
+    /// tagged with [`LISTENER`]. Empty when every station is in `nodes`:
+    /// then a station's index is its id.
     station_nodes: Vec<u32>,
     /// One deaf station, built like any other and never touched by the
     /// event loop: its row, stamped with each deaf station's id, is
@@ -371,8 +394,30 @@ pub struct World<S: TraceSink + Clone = NullSink, P: Probe = NoProbe> {
     /// Per-receiver signals delivered so far, scattered in the loop or
     /// logged for listener replay.
     deliveries: u64,
-    /// The listener log, replayed after dispatch (see [`Replay`]).
+    /// The listeners' nodes and their log, replayed on a worker thread
+    /// (see [`Replay`]).
     replay: Replay,
+}
+
+/// A station's node: its PHY and MAC on the station's own substreams of
+/// `master`, both emitting to `sink`.
+fn build_node<T: TraceSink + Clone>(
+    id: NodeId,
+    radio: RadioConfig,
+    mac: MacConfig,
+    master: &SimRng,
+    sink: T,
+) -> Node<T> {
+    let (phy_label, phy_len) = station_label(b"phy/", id.0);
+    let (mac_label, mac_len) = station_label(b"mac/", id.0);
+    let phy = PhyState::with_sink(
+        radio,
+        master.substream(&phy_label[..phy_len]),
+        id,
+        sink.clone(),
+    );
+    let dcf = DcfMac::with_sink(id, mac, master.substream(&mac_label[..mac_len]), sink);
+    Node::new(id, phy, dcf)
 }
 
 /// The scenario's station roles. The transmitter set is every station
@@ -439,12 +484,13 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     /// untouched station folded to the run's end and stamped with its id,
     /// which is exact because an untouched station's row depends on
     /// neither its id nor its streams. Unless `S` records a trace, the
-    /// listeners (silent stations that are not deaf) run outside the
-    /// event loop: their deliveries are logged as the loop dispatches
-    /// them and replayed, listener by listener, before
-    /// [`World::step_until`] returns. None of this changes a draw or a
-    /// PHY call with an observable effect, so the report and the trace
-    /// are the same as with every station built and full scatter.
+    /// listeners (silent stations that are not deaf, and no flow's
+    /// endpoint) run outside the event loop: their deliveries are logged
+    /// as the loop dispatches them and replayed, listener by listener, on
+    /// a worker thread, all of it before [`World::step_until`] returns.
+    /// None of this changes a draw or a PHY call with an observable
+    /// effect, so the report and the trace are the same as with every
+    /// station built and full scatter.
     pub fn with_probe(scenario: Scenario, sink: S, probe: P) -> World<S, P> {
         let roles = station_roles(&scenario);
         World::assemble(scenario, sink, probe, roles)
@@ -492,36 +538,35 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         let links_built = medium.built_link_count() as u64;
         let mut radio = radio;
         radio.preamble = mac.preamble;
-        let new_node = |id: NodeId| {
-            let (phy_label, phy_len) = station_label(b"phy/", id.0);
-            let (mac_label, mac_len) = station_label(b"mac/", id.0);
-            let phy = PhyState::with_sink(
-                radio,
-                master.substream(&phy_label[..phy_len]),
-                id,
-                sink.clone(),
-            );
-            let dcf: DcfMac<Packet, S> = DcfMac::with_sink(
-                id,
-                mac,
-                master.substream(&mac_label[..mac_len]),
-                sink.clone(),
-            );
-            Node::new(id, phy, dcf)
+        let new_node = |id: NodeId| build_node(id, radio, mac, &master, sink.clone());
+        // Unless `S` records a trace, listeners leave the event loop for
+        // the replay, which holds their nodes untraced. A flow's endpoints
+        // stay in the loop, which installs their traffic: with roles that
+        // leave one silent, its first frame then panics as it should.
+        let replayed = |id: NodeId| {
+            !S::ENABLED
+                && medium.is_listener(id)
+                && !flows.iter().any(|f| f.src == id || f.dst == id)
         };
         let n = positions.len();
-        let mut nodes = Vec::with_capacity(n - medium.deaf_count());
+        let stations = (0..n).map(|i| NodeId(i as u32));
+        let n_listeners = stations.clone().filter(|&id| replayed(id)).count();
+        let looped = n - medium.deaf_count() - n_listeners;
+        let mut nodes = Vec::with_capacity(looped);
+        let mut listeners = Vec::with_capacity(n_listeners);
         let mut station_nodes = Vec::new();
         let mut deaf_template = None;
-        if medium.deaf_count() == 0 {
-            nodes.extend((0..n).map(|i| new_node(NodeId(i as u32))));
+        if looped == n {
+            nodes.extend(stations.map(new_node));
         } else {
             station_nodes.reserve_exact(n);
-            for i in 0..n {
-                let id = NodeId(i as u32);
+            for id in stations {
                 if medium.is_deaf(id) {
                     station_nodes.push(NO_NODE);
                     deaf_template.get_or_insert_with(|| Box::new(new_node(id)));
+                } else if replayed(id) {
+                    station_nodes.push(LISTENER | listeners.len() as u32);
+                    listeners.push(build_node(id, radio, mac, &master, NullSink));
                 } else {
                     station_nodes.push(nodes.len() as u32);
                     nodes.push(new_node(id));
@@ -531,8 +576,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         let mut sim = Simulator::new();
         // Pending events are bounded by a few timers per station plus a
         // few per transmission and flow; pre-size the queue so a late
-        // population peak never reallocates mid-run. A deaf station never
-        // has an event pending.
+        // population peak never reallocates mid-run. Only the loop's
+        // stations ever have an event pending.
         sim.reserve(16 * (nodes.len() + flows.len()).max(4));
         for f in &flows {
             sim.schedule_at(SimTime::ZERO + f.start, Event::FlowStart { flow: f.id });
@@ -582,7 +627,7 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             roles,
             links_built,
             deliveries: 0,
-            replay: Replay::new(),
+            replay: Replay::new(listeners),
         };
         world.install_endpoints();
         world
@@ -663,8 +708,18 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
     }
 
     /// Dispatches events until the next one would land after `end`, then
-    /// replays the listeners' share of them, so every station's state is
-    /// current when it returns.
+    /// waits for the listeners' share of them to be replayed, so every
+    /// station's state is current when it returns.
+    ///
+    /// In an untraced world with listeners, a worker thread replays them
+    /// while this thread dispatches: each full chunk of the listener log
+    /// goes to the worker with the listeners' nodes, and the next chunk
+    /// is logged meanwhile (see the `receiver` module). The step ends
+    /// with a drain barrier: the last chunk is handed off, and the worker
+    /// hands the nodes back once it has replayed everything, so reports
+    /// and accessors see every station current. The result does not
+    /// depend on how the two threads are scheduled. A panic on the worker
+    /// resumes here, on the calling thread.
     ///
     /// [`World::run`] drives the whole scenario through this; it is public
     /// so instrumentation (e.g. the allocation-profiling tests) can advance
@@ -680,18 +735,8 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             self.handle(now, ev);
             self.probe.record(scope, tick);
         }
-        self.replay_listeners();
-    }
-
-    /// Replays the listener log (see [`Replay::flush`]).
-    fn replay_listeners(&mut self) {
-        self.replay.flush(
-            &mut self.medium,
-            &mut self.nodes,
-            &self.station_nodes,
-            &mut self.sink,
-            &mut self.probe,
-        );
+        self.replay
+            .drain(&mut self.medium, &self.station_nodes, &mut self.probe);
     }
 
     /// Maps an event to its profiler scope index — the same order as
@@ -1225,12 +1270,13 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
         }
     }
 
-    /// Replays the listener log first if an event reaching `listeners`
-    /// listeners would overfill it. Listeners are independent of every
-    /// other station, so replaying mid-dispatch changes nothing.
+    /// Hands the listener log off for replay first if an event reaching
+    /// `listeners` listeners would overfill it. Listeners are independent
+    /// of every other station, so replaying mid-dispatch changes nothing.
     fn make_room_in_log(&mut self, listeners: usize) {
         if self.replay.is_full_for(listeners) {
-            self.replay_listeners();
+            self.replay
+                .hand_off(&mut self.medium, &self.station_nodes, &mut self.probe);
         }
     }
 
@@ -1319,6 +1365,10 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
             n.phy.account_airtime(end);
             n.mac.account_airtime(end);
         }
+        for n in self.replay.listeners_mut() {
+            n.phy.account_airtime(end);
+            n.mac.account_airtime(end);
+        }
         let window = (self.duration - self.warmup).as_secs_f64();
         let flows = self
             .flows
@@ -1376,20 +1426,23 @@ impl<S: TraceSink + Clone, P: Probe> World<S, P> {
                 }
             })
             .collect();
-        let nodes = match self.deaf_template.as_deref().map(node_report) {
-            None => self.nodes.iter().map(node_report).collect(),
-            Some(deaf_row) => self
-                .station_nodes
+        let deaf_row = self.deaf_template.as_deref().map(node_report);
+        let nodes = if self.station_nodes.is_empty() {
+            self.nodes.iter().map(node_report).collect()
+        } else {
+            let listeners = self.replay.listeners();
+            self.station_nodes
                 .iter()
                 .enumerate()
                 .map(|(i, &k)| match k {
                     NO_NODE => NodeReport {
                         node: NodeId(i as u32),
-                        ..deaf_row
+                        ..deaf_row.expect("a world with a deaf station keeps its template")
                     },
+                    k if k & LISTENER != 0 => node_report(&listeners[(k & !LISTENER) as usize]),
                     k => node_report(&self.nodes[k as usize]),
                 })
-                .collect(),
+                .collect()
         };
         RunReport {
             duration: self.duration,
@@ -1538,6 +1591,12 @@ mod tests {
         out
     }
 
+    /// How many stations have node state: the loop's and the replayed
+    /// listeners'.
+    fn node_state<S: TraceSink + Clone, P: Probe>(world: &World<S, P>) -> usize {
+        world.nodes.len() + world.replay.listeners().len()
+    }
+
     /// Σ [`Medium::audible_count`] over a world's transmitter set, and
     /// over every station.
     fn audible_sums<S: TraceSink + Clone, P: Probe>(world: &World<S, P>) -> (u64, u64) {
@@ -1578,7 +1637,7 @@ mod tests {
             if reference {
                 assert_eq!(transmitter_links, all_links, "{label}: reference roles");
             }
-            let node_state = world.nodes.len();
+            let node_state = node_state(&world);
             let report = world.run();
             assert_eq!(
                 report.engine.links_built, transmitter_links,
@@ -1830,6 +1889,92 @@ mod tests {
         );
     }
 
+    /// A sparse field whose listeners take most of its deliveries.
+    fn listening_field(seed: u64) -> Scenario {
+        sparse_field(
+            300,
+            1_500.0,
+            Flows::SingleHop(UDP),
+            3,
+            350.0,
+            DayProfile::clear(),
+            seed,
+        )
+        .random_disk(40, 1_500.0, seed)
+        .duration(SimDuration::from_millis(500))
+        .build()
+    }
+
+    /// Stepping a field with listeners in 25 segments of 20 ms drains
+    /// the replay worker and takes the listeners' nodes back at every
+    /// boundary, where they must be readable and current; the report
+    /// must match one `run()` bit for bit.
+    #[test]
+    fn segmented_stepping_matches_one_run() {
+        let whole = World::new(listening_field(21)).run();
+        let mut world = World::new(listening_field(21));
+        let mut locks = 0;
+        for k in 1..=25 {
+            world.step_until(SimTime::ZERO + SimDuration::from_millis(20 * k));
+            let now: u64 = world
+                .replay
+                .listeners()
+                .iter()
+                .map(|n| n.phy_counters().locks)
+                .sum();
+            assert!(now >= locks, "segment {k}: listener locks went back");
+            locks = now;
+        }
+        assert!(world.replay.replayed > 0, "nothing replayed");
+        assert!(locks > 0, "no listener locked");
+        let segmented = world.run();
+        assert_eq!(fingerprint(&segmented), fingerprint(&whole));
+        assert_eq!(segmented.engine.deliveries, whole.engine.deliveries);
+    }
+
+    /// The replay worker is joined when its world drops mid-run: what
+    /// its thread holds is gone once `drop` returns.
+    #[test]
+    fn dropping_a_world_mid_run_joins_its_worker() {
+        let mut world = World::new(listening_field(22));
+        world.step_until(SimTime::ZERO + SimDuration::from_millis(100));
+        let alive = world.replay.worker_alive().expect("the worker started");
+        assert!(alive.upgrade().is_some());
+        drop(world);
+        assert!(
+            alive.upgrade().is_none(),
+            "the replay worker outlived its world"
+        );
+    }
+
+    /// A panic on the replay worker resumes from `step_until` on the
+    /// calling thread instead of hanging it. The panic here comes from
+    /// listeners that have a frame to send: the first carrier-sense edge
+    /// one of them replays makes its MAC arm a timer.
+    #[test]
+    #[should_panic(expected = "asked for StartTimer")]
+    fn a_panic_on_the_replay_worker_resumes_in_step_until() {
+        let mut world = World::new(listening_field(23));
+        for listener in world.replay.listeners_mut() {
+            let packet = Packet {
+                flow: FlowId(0),
+                src: listener.id,
+                dst: NodeId(0),
+                seg: Segment::Udp { seq: 0 },
+                payload_bytes: 512,
+                sent_at: SimTime::ZERO,
+            };
+            let sdu = MacSdu {
+                dst: NodeId(0),
+                bytes: packet.wire_bytes(),
+                tag: 0,
+                payload: packet,
+            };
+            listener.mac.enqueue(sdu, SimTime::ZERO, &mut Vec::new());
+        }
+        world.step_until(SimTime::ZERO + SimDuration::from_millis(500));
+    }
+
     /// The static disk4096 sweep-registry scenario (4,096 stations on a
     /// 12 km disk from topology seed 7, saturated UDP 0→1, 2→3, 4→5 at
     /// 2 Mb/s, run seed 1, 300 ms): its transmitters' slices are all that
@@ -1849,7 +1994,7 @@ mod tests {
         }
         let world = b.build().into_world();
         let (transmitter_links, all_links) = audible_sums(&world);
-        let node_state = world.nodes.len() as u64;
+        let node_state = node_state(&world) as u64;
         let report = world.run();
         assert_eq!(report.engine.links_built, transmitter_links);
         assert!(report.engine.deaf_stations > 3_500);
@@ -1874,7 +2019,7 @@ mod tests {
         let audible: Vec<u64> = (0..world.medium.station_count())
             .map(|t| world.medium.audible_count(NodeId(t as u32)) as u64)
             .collect();
-        assert_eq!(world.nodes.len(), audible.len(), "{label}: node state");
+        assert_eq!(node_state(&world), audible.len(), "{label}: node state");
         let report = world.run();
         assert_eq!(report.engine.deaf_stations, 0, "{label}");
         assert_eq!(report.engine.links_built, audible.iter().sum(), "{label}");
@@ -1910,7 +2055,7 @@ mod tests {
             .collect();
         let (transmitter_links, all_links) = audible_sums(&world);
         assert!(transmitter_links < all_links);
-        let node_state = world.nodes.len() as u64;
+        let node_state = node_state(&world) as u64;
         let report = world.run();
         assert_eq!(
             node_state,

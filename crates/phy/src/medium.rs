@@ -922,6 +922,13 @@ impl Medium {
         self.lanes[station.index()] == Lane::Deaf
     }
 
+    /// Whether `station` is a listener: a silent station of a fixed field
+    /// that is not deaf, which frames reach through
+    /// [`Medium::sample_listeners`] only. Fixed at construction.
+    pub fn is_listener(&self, station: NodeId) -> bool {
+        self.lanes[station.index()] == Lane::Listening
+    }
+
     /// How many stations [`Medium::is_deaf`] holds for: O(1), counted at
     /// construction.
     pub fn deaf_count(&self) -> usize {

@@ -17,9 +17,11 @@
 //! building a sparse 4096-station field makes a few hundred allocator
 //! calls, not one per station.
 //!
-//! The count is per thread: a world runs entirely on its caller's thread,
-//! and a process-wide counter would also catch the test harness's own
-//! threads allocating during the measured segment.
+//! The count is per thread: a process-wide counter would also catch the
+//! test harness's own threads allocating during the measured segment. It
+//! sees everything a world does on its caller's thread, which is all of
+//! it but the listeners' receiver steps: those run on the world's replay
+//! worker, and `tests/alloc_free_replay.rs` counts every thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
