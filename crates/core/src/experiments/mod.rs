@@ -1,8 +1,8 @@
 //! One module per table/figure of the paper.
 //!
 //! Every experiment function returns structured rows; the `repro` binary
-//! renders them as text, the integration tests assert their shape against
-//! the paper, and the benches in `dot11-bench` time their regeneration.
+//! renders them as text, and the integration tests assert their shape
+//! against the paper.
 //!
 //! | paper artifact | function |
 //! |---|---|

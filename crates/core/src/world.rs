@@ -1978,9 +1978,11 @@ mod tests {
     /// The static disk4096 sweep-registry scenario (4,096 stations on a
     /// 12 km disk from topology seed 7, saturated UDP 0→1, 2→3, 4→5 at
     /// 2 Mb/s, run seed 1, 300 ms): its transmitters' slices are all that
-    /// construction stores, under 1/20 of every station's, and only its
-    /// stations that are not deaf get node state. Release-only, like the
-    /// other 4096-station test.
+    /// construction stores, under 1/20 of every station's, only its
+    /// stations that are not deaf get node state, and its event and
+    /// delivery counts are pinned exactly (the events are the CI smoke
+    /// sweep's disk4096 budget). Release-only, like the other
+    /// 4096-station test.
     #[test]
     #[ignore = "4096-station field; run in release with --ignored"]
     fn disk4096_builds_only_its_transmitters_slices() {
@@ -1996,6 +1998,11 @@ mod tests {
         let (transmitter_links, all_links) = audible_sums(&world);
         let node_state = node_state(&world) as u64;
         let report = world.run();
+        assert_eq!(
+            (report.engine.events, report.engine.deliveries),
+            (922, 1_866),
+            "disk4096 events or deliveries moved"
+        );
         assert_eq!(report.engine.links_built, transmitter_links);
         assert!(report.engine.deaf_stations > 3_500);
         assert_eq!(node_state, 4096 - report.engine.deaf_stations);

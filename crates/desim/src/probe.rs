@@ -11,7 +11,7 @@
 //! `P: Probe`, and the default [`NoProbe`] has `ENABLED = false` with
 //! empty inline `tick`/`record` bodies, so every instrumentation site
 //! compiles away at monomorphization time — an unprofiled simulation pays
-//! zero cost, verified by the `profile` bench group's overhead gate.
+//! zero cost, verified by the workspace's release-only probe test.
 //! A [`WallProbe`] can additionally be constructed *disarmed*
 //! ([`WallProbe::off`]): the sites stay compiled in but `tick` returns
 //! `None` and `record` does nothing, which is the "enabled but off"

@@ -896,8 +896,8 @@ impl Medium {
     ///
     /// O(1) when every slice is built. On a medium built for a fixed
     /// field's transmitters it counts each unbuilt station's set with
-    /// [`Medium::audible_count`]: O(unbuilt × degree). Only tests and
-    /// benches call it.
+    /// [`Medium::audible_count`]: O(unbuilt × degree). Only tests call
+    /// it.
     pub fn culled_link_count(&self) -> usize {
         let n = self.positions.len();
         let unbuilt: usize = (0..n)

@@ -255,3 +255,54 @@ fn full_fanout_keeps_every_link() {
     assert_eq!(world.medium().culled_link_count(), 0);
     assert_eq!(world.medium().max_audible_count(), 19);
 }
+
+/// The N-scaling recipe: a saturated N-station chain at 80 m pitch and
+/// 2 Mb/s (a reliable hop per the calibrated Table 3 ranges), one flow
+/// end to end, seed 3, 500 ms with 100 ms warm-up.
+fn scaling_chain(n: u32, full_fanout: bool) -> dot11_testbed::adhoc::Scenario {
+    let mut b = ScenarioBuilder::new(PhyRate::R2).chain(n, 80.0);
+    if full_fanout {
+        b = b.full_fanout();
+    }
+    b.seed(3)
+        .duration(SimDuration::from_millis(500))
+        .warmup(SimDuration::from_millis(100))
+        .flow(
+            0,
+            n - 1,
+            Traffic::SaturatedUdp {
+                payload_bytes: 512,
+                backlog: 10,
+            },
+        )
+        .build()
+}
+
+/// Exact fan-out work on the scaling chains: `(events, deliveries,
+/// links_built, tx_frames)` per run. Culling scatters each frame to the
+/// ~30 stations inside the audible horizon instead of all 255 on
+/// chain256 (13,300 vs 107,865 deliveries over the same 423 frames), and
+/// from chain64 up the event count no longer grows with N. A change
+/// that widens the fan-out, builds links culling would drop, or adds
+/// events per station moves these integers.
+#[test]
+fn scaling_chains_pin_their_fanout_work() {
+    let cases = [
+        (4, false, (1_379, 642, 12, 214)),
+        (16, false, (2_061, 4_980, 240, 332)),
+        (64, false, (2_579, 13_300, 2_550, 423)),
+        (256, false, (2_579, 13_300, 12_150, 423)),
+        (1024, false, (2_579, 13_300, 50_550, 423)),
+        (256, true, (2_579, 107_865, 65_280, 423)),
+    ];
+    for (n, full_fanout, want) in cases {
+        let report = scaling_chain(n, full_fanout).run();
+        let frames: u64 = report.nodes.iter().map(|nr| nr.phy.tx_frames).sum();
+        let e = &report.engine;
+        assert_eq!(
+            (e.events, e.deliveries, e.links_built, frames),
+            want,
+            "chain{n} (full fan-out: {full_fanout}): fan-out work moved"
+        );
+    }
+}

@@ -11,12 +11,15 @@
 //! epoch commit against a brute-force oracle; these pins check that
 //! whole runs still produce the same bytes.
 
-use desim::SimDuration;
+use desim::{SimDuration, SimRng};
 use dot11_testbed::adhoc::hash::StableHasher;
 use dot11_testbed::adhoc::mobility::parse_trace;
 use dot11_testbed::adhoc::stats::MobilityStats;
 use dot11_testbed::adhoc::{MobilityConfig, RunReport, Scenario, ScenarioBuilder, Traffic};
-use dot11_testbed::phy::PhyRate;
+use dot11_testbed::phy::{
+    CullPolicy, DayProfile, Db, Dbm, EpochChurn, LogDistance, Medium, MediumConfig, NodeId,
+    PhyRate, Position, Shadowing, StationRoles, CULL_MARGIN_DB,
+};
 
 const SATURATED: Traffic = Traffic::SaturatedUdp {
     payload_bytes: 512,
@@ -225,4 +228,99 @@ fn static_scenarios_report_zero_mobility() {
         .run();
     assert_eq!(report.engine.mobility, MobilityStats::default());
     assert_eq!(report.engine.kinds.topology_update, 0);
+}
+
+/// A constant-density sunflower spiral: the field radius grows with √n,
+/// so every station keeps the same handful of audible neighbours under
+/// the `CULL_MARGIN_DB` horizon and a mover's epoch work does not depend
+/// on n.
+fn spiral(n: usize) -> Vec<Position> {
+    let radius = 14_000.0 * (n as f64 / 64.0).sqrt();
+    (0..n)
+        .map(|k| {
+            let r = radius * ((k as f64 + 0.5) / n as f64).sqrt();
+            let th = k as f64 * 2.399_963_229_728_653;
+            Position {
+                x: r * th.cos(),
+                y: r * th.sin(),
+            }
+        })
+        .collect()
+}
+
+/// The spiral's medium with every slice built: unrestricted roles let
+/// every station transmit and move, as a mobile world's must.
+fn spiral_medium(n: usize) -> Medium {
+    let day = DayProfile::clear();
+    Medium::new(
+        spiral(n),
+        Shadowing::new(day.clone(), SimRng::from_seed(33)),
+        MediumConfig {
+            path_loss: LogDistance::anchored_at_free_space_1m(3.0).into(),
+            day,
+            propagation_delay: SimDuration::from_micros(1),
+            cull: CullPolicy::Audible {
+                tx_power: Dbm(15.0),
+                noise_floor: Dbm(-96.6),
+                margin: Db(CULL_MARGIN_DB),
+            },
+        },
+        &StationRoles::unrestricted(n),
+    )
+}
+
+/// Two alternating move sets: ~0.5% of the stations (at least one) hop
+/// 75 m out on one epoch and back home on the next, so the medium
+/// bounces between two states.
+fn bounce_sets(n: usize) -> [Vec<(NodeId, Position)>; 2] {
+    let home = spiral(n);
+    let movers = (n / 200).max(1);
+    let stride = n / movers;
+    let (mut out, mut back) = (Vec::new(), Vec::new());
+    for i in (0..movers).map(|m| m * stride) {
+        let p = home[i];
+        let away = Position {
+            x: p.x + 60.0,
+            y: p.y - 45.0,
+        };
+        out.push((NodeId(i as u32), away));
+        back.push((NodeId(i as u32), p));
+    }
+    [out, back]
+}
+
+/// Epoch commits are O(moved): on the constant-density spiral a
+/// steady-state commit (after two warm-up epochs have installed the
+/// slices' capacity slack) recomputes only the movers' neighbourhoods,
+/// whatever n is. The churn is pinned exactly, and at n = 1024 it must
+/// touch under a tenth of the slices and of the built links; a commit
+/// that rebuilds the medium, or recomputes every slice, fails here. That
+/// the resulting link state is right is the medium's brute-force oracle
+/// test's job.
+#[test]
+fn epoch_commit_work_tracks_the_movers_not_the_field() {
+    let churn = |moved, slices_recomputed, links| EpochChurn {
+        moved,
+        slices_recomputed,
+        links_dirtied: links,
+        links_recomputed: links,
+        ..EpochChurn::default()
+    };
+    let cases = [
+        (64, churn(1, 11, 20), 438),
+        (256, churn(1, 11, 20), 1_904),
+        (1024, churn(5, 48, 86), 8_032),
+    ];
+    for (n, want, built) in cases {
+        let mut medium = spiral_medium(n);
+        let sets = bounce_sets(n);
+        medium.commit_epoch(&sets[0]);
+        medium.commit_epoch(&sets[1]);
+        let got = medium.commit_epoch(&sets[0]);
+        assert_eq!((got, medium.built_link_count()), (want, built), "n = {n}");
+        if n == 1024 {
+            assert!(got.slices_recomputed as usize * 10 <= n);
+            assert!(got.links_recomputed as usize * 10 <= medium.built_link_count());
+        }
+    }
 }

@@ -1,6 +1,7 @@
 //! Integration: the engine profiler is faithful and physics-invisible.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use desim::{SimDuration, WallProbe};
 use dot11_testbed::adhoc::world::PROBE_SCOPES;
@@ -85,10 +86,11 @@ fn phase_scopes_fire_and_attribution_is_high() {
         assert!(s.count > 0, "{phase} never fired");
         assert!(s.max_ns >= s.min_ns);
     }
-    // The ≥ 95% attribution target is asserted by the serial `profile`
-    // bench; here the test binary runs four simulations concurrently, so
-    // descheduling between scopes can eat a visible slice of the short
-    // wall time. Assert the order of magnitude, not the benched figure.
+    // The ≥ 95% attribution target is asserted on a kilo-station chain
+    // by `chain1024_attribution_is_high_and_response_path_visible`; this
+    // short cell's wall time is small enough that one descheduling
+    // between scopes eats a visible slice of it. Assert the order of
+    // magnitude, not the 95% bar.
     let frac = report
         .engine
         .attributed_fraction()
@@ -101,8 +103,7 @@ fn phase_scopes_fire_and_attribution_is_high() {
 }
 
 /// The profiler has no large-N blind spot: a probed kilo-station chain
-/// still attributes ≥ 95% of its wall time to named kind scopes (the
-/// same bar the serial `profile` bench holds chain256 to), and the
+/// still attributes ≥ 95% of its wall time to named kind scopes, and the
 /// precomputed-response fast path stays visible through its dedicated
 /// `phase_response_build` scope.
 #[test]
@@ -184,4 +185,47 @@ fn only_an_armed_probe_reports() {
     assert!(disarmed.engine.attributed_fraction().is_none());
     let armed = contended_cell().run_probed(NullSink, WallProbe::new(&PROBE_SCOPES));
     assert!(armed.engine.profile.is_some());
+}
+
+/// The probe is zero-cost when disarmed: the same four-station cell run
+/// with probes compiled out (`NoProbe`, what `run` uses) and compiled in
+/// but disarmed (`WallProbe::off`) must agree on median ns/event within
+/// 25% in either direction. Runs alternate so drift on the host hits
+/// both sides alike. A wall-clock gate means nothing in a debug build, so
+/// it is ignored there; CI runs it in release with `--ignored`.
+#[test]
+#[ignore = "wall-clock gate; run in release with --ignored"]
+fn disarmed_probe_costs_no_more_than_a_compiled_out_one() {
+    const PAIRS: usize = 101;
+    const TOLERANCE: f64 = 0.25;
+    let _quiet = quiet();
+    let ns_per_event = |probed: bool| {
+        let cell = contended_cell();
+        let t0 = Instant::now();
+        let report = if probed {
+            cell.run_probed(NullSink, WallProbe::off(&PROBE_SCOPES))
+        } else {
+            cell.run()
+        };
+        t0.elapsed().as_nanos() as f64 / report.engine.events as f64
+    };
+    // Warm caches and the allocator on both paths before timing.
+    ns_per_event(false);
+    ns_per_event(true);
+    let (mut out, mut off) = (Vec::new(), Vec::new());
+    for _ in 0..PAIRS {
+        out.push(ns_per_event(false));
+        off.push(ns_per_event(true));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (out, off) = (median(&mut out), median(&mut off));
+    let ratio = out.max(off) / out.min(off);
+    assert!(
+        ratio <= 1.0 + TOLERANCE,
+        "compiled-out {out:.1} ns/event vs disarmed {off:.1} ns/event differ by {:.0}%",
+        (ratio - 1.0) * 100.0
+    );
 }
